@@ -115,7 +115,11 @@ def cmd_detect(network, algo, runs, seed, package_depth, out):
 @click.option("--package-depth", type=int, default=None)
 @click.option("--out", default=None)
 def cmd_metrics(network, partitions, xmin, package_depth, out):
-    """Package metrics plus NMI between every pair of supplied partitions."""
+    """Package metrics plus NMI between every pair of supplied partitions.
+
+    Each partition is named by its file basename; names must be distinct
+    and must not be 'P' or 'P+'.
+    """
     from .metrics import size_distribution
 
     graph = _load_graph(network)
@@ -123,8 +127,14 @@ def cmd_metrics(network, partitions, xmin, package_depth, out):
     packages_plus = split_disconnected(graph, packages)
     named = {"P": packages, "P+": packages_plus}
     for path in partitions:
+        name = Path(path).name
+        if name in named:
+            raise DepnetError(
+                f"{path}: partitions are named by file basename and {name!r} "
+                "is already taken ('P' and 'P+' are the package partitions)"
+            )
         with open(path, encoding="utf-8") as stream:
-            named[Path(path).name] = load_partition(stream, graph)
+            named[name] = load_partition(stream, graph)
     pairs = sorted(named)
     doc = {
         "network": {"nodes": graph.n_nodes, "edges": graph.m,

@@ -9,6 +9,8 @@ the constant denominator 4*m^2, so ties never depend on float rounding.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import random
 import warnings
 from collections import Counter, deque
@@ -159,7 +161,16 @@ def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
     """Greedy agglomeration: merge the connected community pair of maximal
     modularity gain until no connected pair remains; return the sweep's best.
 
-    Ties among maximal-gain pairs break uniformly at random under the seed.
+    Merges are incremental in the manner of Clauset, Newman & Moore (2004):
+    each community keeps a map of its neighbour communities and edge counts,
+    and every connected pair (c, d), c < d, sits in a bucket keyed by its
+    exact integer gain 2m*e_cd - d_c*d_d, found through a max-heap of gains.
+    A merge re-keys only the pairs that touch the two merged communities, so
+    it costs time in their neighbour counts rather than in the whole graph.
+
+    Tie rule: the tie set is the sorted list of every maximal-gain pair; with
+    more than one, rng.randrange(len(ties)) picks one, uniformly under the
+    seed. The larger id d always merges into the smaller id c.
     """
     if graph.n_nodes == 0:
         raise GraphError("empty graph")
@@ -167,55 +178,84 @@ def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
     m = graph.m
     denom = 4 * m ** 2 if m else 1
     n = graph.n_nodes
+    two_m = 2 * m
 
-    comm = list(range(n))
-    deg = {c: graph.degree[c] for c in range(n)}
-    members: dict[int, list[int]] = {c: [c] for c in range(n)}
-    between: dict[tuple[int, int], int] = {}
-    for u, v, _ in graph.edges:
-        key = (u, v) if u < v else (v, u)
-        between[key] = between.get(key, 0) + 1
+    deg = list(graph.degree)
+    nbr = [dict(graph.neighbors(u)) for u in range(n)]
+    # Gain of merging (c, d) is 2*(2m*e_cd - d_c*d_d) on the numerator scale;
+    # buckets hold the halved gain, each bucket's pairs kept sorted.
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for c in range(n):
+        for d, e in nbr[c].items():
+            if c < d:
+                buckets.setdefault(two_m * e - deg[c] * deg[d], []).append((c, d))
+    for bucket in buckets.values():
+        bucket.sort()
+    # Negated gains; an entry whose bucket has emptied is dropped when it
+    # reaches the top.
+    heap = [-gain for gain in buckets]
+    heapq.heapify(heap)
+
+    def drop_pair(c: int, x: int, gain: int) -> None:
+        bucket = buckets[gain]
+        if len(bucket) == 1:
+            del buckets[gain]
+        else:
+            del bucket[bisect.bisect_left(bucket, (c, x) if c < x else (x, c))]
+
+    def add_pair(c: int, x: int, gain: int) -> None:
+        pair = (c, x) if c < x else (x, c)
+        bucket = buckets.get(gain)
+        if bucket is None:
+            buckets[gain] = [pair]
+            heapq.heappush(heap, -gain)
+        else:
+            bisect.insort(bucket, pair)
 
     q_num = -sum(k * k for k in graph.degree)
     best_num = q_num
-    best_labels = list(comm)
     levels = [DendrogramLevel(n, q_num / denom)]
     best_index = 0
+    merges: list[tuple[int, int]] = []
 
-    while between:
-        # Gain of merging (c, d) is 2*(2m*e_cd - d_c*d_d) on the numerator scale.
-        best_score = max(2 * m * e - deg[c] * deg[d]
-                         for (c, d), e in between.items())
-        ties = sorted(
-            key for key, e in between.items()
-            if 2 * m * e - deg[key[0]] * deg[key[1]] == best_score
-        )
+    while heap:
+        best_score = -heap[0]
+        ties = buckets.get(best_score)
+        if ties is None:
+            heapq.heappop(heap)
+            continue
         c, d = ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
-        # Merge d into c.
-        for node in members[d]:
-            comm[node] = c
-        members[c].extend(members.pop(d))
-        deg[c] += deg.pop(d)
-        merged: dict[tuple[int, int], int] = {}
-        for (a, b), e in between.items():
-            if (a, b) == (c, d):
-                continue
-            if a == d:
-                a = c
-            if b == d:
-                b = c
-            if a == b:
-                continue
-            key = (a, b) if a < b else (b, a)
-            merged[key] = merged.get(key, 0) + e
-        between = merged
+        # Merge d into c: drop every pair touching c or d at its old gain,
+        # fold d's edge counts into c, then add c's pairs at their new gains.
+        nbr_c, nbr_d = nbr[c], nbr[d]
+        deg_c, deg_d = deg[c], deg[d]
+        for x, e in nbr_c.items():
+            drop_pair(c, x, two_m * e - deg_c * deg[x])
+        del nbr_c[d]
+        for x, e in nbr_d.items():
+            if x != c:
+                drop_pair(d, x, two_m * e - deg_d * deg[x])
+                nbr_x = nbr[x]
+                del nbr_x[d]
+                nbr_x[c] = nbr_x.get(c, 0) + e
+                nbr_c[x] = nbr_c.get(x, 0) + e
+        deg_c = deg[c] = deg_c + deg_d
+        for x, e in nbr_c.items():
+            add_pair(c, x, two_m * e - deg_c * deg[x])
+        merges.append((c, d))
         q_num += 2 * best_score
-        levels.append(DendrogramLevel(len(members), q_num / denom))
+        levels.append(DendrogramLevel(n - len(merges), q_num / denom))
         if q_num > best_num:
             best_num = q_num
-            best_labels = list(comm)
             best_index = len(levels) - 1
-    partition = Partition(dict(enumerate(best_labels))).relabel_dense()
+    # Replay the merges up to the best level; c < d, so resolving nodes in
+    # ascending order finds every parent already pointing at its root.
+    comm = list(range(n))
+    for c, d in merges[:best_index]:
+        comm[d] = c
+    for node in range(n):
+        comm[node] = comm[comm[node]]
+    partition = Partition(dict(enumerate(comm))).relabel_dense()
     return partition, Dendrogram(levels, best_index)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .errors import FormatError, ResolveError
+from .errors import FormatError, GraphError, ResolveError
 from .graph import (ClassGraph, DependencyKind, Partition, build_graph,
                     remove_isolated)
 from .headers import ClassDecl, parse_class_headers
@@ -203,8 +203,12 @@ def package_partition(graph: ClassGraph, depth: int | None = None) -> Partition:
 
 
 def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
-    """Read a partition TSV against a graph's fqn table."""
+    """Read a partition TSV against a graph's fqn table.
+
+    Every fqn must be a node of the graph and appear on exactly one line.
+    """
     labels: dict[int, str] = {}
+    first_line: dict[int, int] = {}
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -213,7 +217,19 @@ def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 2 tab-separated fields")
         fqn, label = parts
-        labels[graph.id_of(fqn)] = label
+        try:
+            node = graph.id_of(fqn)
+        except GraphError:
+            raise FormatError(
+                f"line {lineno}: unknown class {fqn!r}"
+            ) from None
+        if node in first_line:
+            raise FormatError(
+                f"line {lineno}: duplicate class {fqn!r} "
+                f"(first on line {first_line[node]})"
+            )
+        first_line[node] = lineno
+        labels[node] = label
     if len(labels) != graph.n_nodes:
         raise FormatError(
             f"partition covers {len(labels)} of {graph.n_nodes} nodes"

@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 
-from .detect import EB_DEFAULT_EDGE_CAP
 from .errors import SizeCapError
 from .graph import ClassGraph, Partition
 from .ingest import package_partition

@@ -2,7 +2,9 @@
 
 These deliberately use the slowest, most literal formulations (ordered-pair
 sums, exhaustive enumeration, direct entropy sums) and stay independent of
-the library's optimized code paths.
+the library's optimized code paths. `detect_mo_reference` is the original
+full-rescan greedy agglomeration, kept verbatim as the slow reference that the
+incremental `detect_mo` must reproduce exactly.
 """
 
 import math
@@ -10,7 +12,9 @@ import random
 from collections import Counter
 from itertools import combinations
 
-from depnet import ClassGraph, DependencyKind, Partition, build_graph
+from depnet import (ClassGraph, Dendrogram, DependencyKind, GraphError,
+                    Partition, build_graph)
+from depnet.detect import DendrogramLevel
 
 
 def modularity_ordered_pairs(graph: ClassGraph, partition: Partition) -> float:
@@ -89,3 +93,80 @@ def random_multigraph(rng: random.Random, max_nodes: int = 8,
 def random_partition(rng: random.Random, n: int) -> Partition:
     k = rng.randint(1, n)
     return Partition({i: rng.randrange(k) for i in range(n)})
+
+
+def random_sparse_multigraph(rng: random.Random, n: int,
+                             edges_per_node: float) -> ClassGraph:
+    """Random multigraph on n nodes with about edges_per_node * n edges drawn
+    uniformly over node pairs; parallel edges kept, self-loops redrawn."""
+    fqns = [f"n{i}" for i in range(n)]
+    edges = []
+    while len(edges) < round(edges_per_node * n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.append((fqns[u], fqns[v], DependencyKind.FIELD))
+    return build_graph(fqns, edges)
+
+
+def detect_mo_reference(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
+    """Greedy agglomeration: merge the connected community pair of maximal
+    modularity gain until no connected pair remains; return the sweep's best.
+
+    Ties among maximal-gain pairs break uniformly at random under the seed.
+    """
+    if graph.n_nodes == 0:
+        raise GraphError("empty graph")
+    rng = random.Random(seed)
+    m = graph.m
+    denom = 4 * m ** 2 if m else 1
+    n = graph.n_nodes
+
+    comm = list(range(n))
+    deg = {c: graph.degree[c] for c in range(n)}
+    members: dict[int, list[int]] = {c: [c] for c in range(n)}
+    between: dict[tuple[int, int], int] = {}
+    for u, v, _ in graph.edges:
+        key = (u, v) if u < v else (v, u)
+        between[key] = between.get(key, 0) + 1
+
+    q_num = -sum(k * k for k in graph.degree)
+    best_num = q_num
+    best_labels = list(comm)
+    levels = [DendrogramLevel(n, q_num / denom)]
+    best_index = 0
+
+    while between:
+        # Gain of merging (c, d) is 2*(2m*e_cd - d_c*d_d) on the numerator scale.
+        best_score = max(2 * m * e - deg[c] * deg[d]
+                         for (c, d), e in between.items())
+        ties = sorted(
+            key for key, e in between.items()
+            if 2 * m * e - deg[key[0]] * deg[key[1]] == best_score
+        )
+        c, d = ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+        # Merge d into c.
+        for node in members[d]:
+            comm[node] = c
+        members[c].extend(members.pop(d))
+        deg[c] += deg.pop(d)
+        merged: dict[tuple[int, int], int] = {}
+        for (a, b), e in between.items():
+            if (a, b) == (c, d):
+                continue
+            if a == d:
+                a = c
+            if b == d:
+                b = c
+            if a == b:
+                continue
+            key = (a, b) if a < b else (b, a)
+            merged[key] = merged.get(key, 0) + e
+        between = merged
+        q_num += 2 * best_score
+        levels.append(DendrogramLevel(len(members), q_num / denom))
+        if q_num > best_num:
+            best_num = q_num
+            best_labels = list(comm)
+            best_index = len(levels) - 1
+    partition = Partition(dict(enumerate(best_labels))).relabel_dense()
+    return partition, Dendrogram(levels, best_index)

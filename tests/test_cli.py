@@ -19,6 +19,9 @@ NETWORK_TEXT = (
     "pb.E\tpb.F\tfield\n"
 )
 
+PARTITION_TEXT = "".join(f"{fqn}\t{fqn[:2]}\n" for fqn in (
+    "pa.A", "pa.B", "pa.C", "pb.D", "pb.E", "pb.F"))
+
 
 @pytest.fixture
 def runner():
@@ -105,6 +108,33 @@ class TestMetrics:
         part = tmp_path / "bad.tsv"
         part.write_text("pa.A\tx\n")
         assert main(["metrics", network, str(part)]) == 2
+
+    def test_basename_collision_rejected(self, network, tmp_path, capsys):
+        paths = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "part.tsv")
+            paths[-1].write_text(PARTITION_TEXT)
+        assert main(["metrics", network, *map(str, paths)]) == 2
+        assert "'part.tsv' is already taken" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["P", "P+"])
+    def test_package_partition_name_rejected(self, network, tmp_path, capsys,
+                                             name):
+        path = tmp_path / name
+        path.write_text(PARTITION_TEXT)
+        assert main(["metrics", network, str(path)]) == 2
+        assert f"{name!r} is already taken" in capsys.readouterr().err
+
+    def test_distinct_names_all_reported(self, runner, network, tmp_path):
+        paths = [tmp_path / "one.tsv", tmp_path / "two.tsv"]
+        for path in paths:
+            path.write_text(PARTITION_TEXT)
+        result = runner.invoke(cli, ["metrics", network, *map(str, paths)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert sorted(doc["q"]) == ["P", "P+", "one.tsv", "two.tsv"]
+        assert doc["nmi"]["one.tsv|two.tsv"] == pytest.approx(1.0)
 
 
 class TestRefine:

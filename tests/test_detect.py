@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -9,7 +10,8 @@ from depnet import (GraphError, Partition, SizeCapError, collapse_to_weighted,
                     edge_betweenness, modularity, refine_packages)
 
 from conftest import graph_from_pairs
-from oracles import random_multigraph, random_partition
+from oracles import (detect_mo_reference, random_multigraph, random_partition,
+                     random_sparse_multigraph)
 
 TWO_TRIANGLES_Q = 5 / 14  # oracle-verified optimum of the bridged triangles
 
@@ -111,6 +113,69 @@ class TestMO:
         _, dendro = detect_mo(two_triangles, seed=0)
         assert dendro.levels[0].n_communities == two_triangles.n_nodes
         assert dendro.levels[-1].n_communities == 1
+
+
+def assert_mo_matches_reference(graph, seed):
+    part, dendro = detect_mo(graph, seed)
+    ref_part, ref_dendro = detect_mo_reference(graph, seed)
+    assert part == ref_part
+    assert dendro.levels == ref_dendro.levels
+    assert dendro.best_index == ref_dendro.best_index
+
+
+TIE_HEAVY_SHAPES = {
+    "star": [(0, i) for i in range(1, 9)],
+    "star_high_center": [(i, 8) for i in range(8)],
+    "clique": [(i, j) for i in range(7) for j in range(i + 1, 7)],
+    "ring": [(i, (i + 1) % 12) for i in range(12)],
+    "double_ring": [(i, (i + 1) % 8) for i in range(8)] * 2,
+    "bipartite_3_4": [(i, j) for i in range(3) for j in range(3, 7)],
+    "disjoint_with_isolated": [(0, 1), (0, 2), (1, 2), (4, 5), (4, 6), (5, 6),
+                               (8, 9), (11, 12)],
+}
+
+
+class TestMOMatchesReference:
+    """The incremental MO reproduces the full-rescan reference exactly:
+    partition, every dendrogram level and the best index."""
+
+    def test_random_multigraphs(self):
+        rng = random.Random(2004)
+        for _ in range(320):
+            g = random_multigraph(rng, max_nodes=rng.randint(2, 60),
+                                  max_edges=rng.randint(1, 150))
+            assert_mo_matches_reference(g, rng.randrange(1 << 32))
+
+    @pytest.mark.parametrize("shape", sorted(TIE_HEAVY_SHAPES))
+    def test_tie_heavy_shapes(self, shape):
+        pairs = TIE_HEAVY_SHAPES[shape]
+        # One extra node past the shape stays isolated.
+        g = graph_from_pairs(pairs, n=max(max(p) for p in pairs) + 2)
+        for seed in range(12):
+            assert_mo_matches_reference(g, seed)
+
+    def test_clique_ring(self):
+        for seed in range(12):
+            assert_mo_matches_reference(clique_ring(), seed)
+
+    def test_isolated_nodes_without_edges(self):
+        g = graph_from_pairs([], n=5)
+        assert g.m == 0
+        for seed in range(3):
+            assert_mo_matches_reference(g, seed)
+
+    def test_thousand_nodes(self):
+        g = random_sparse_multigraph(random.Random(1000), 1000, 4)
+        assert_mo_matches_reference(g, 42)
+
+
+def test_mo_time_bound_two_thousand_nodes():
+    """One MO run on 2,000 nodes and 8,000 edges; the full-rescan reference
+    takes several seconds, the incremental merges a fraction of one."""
+    g = random_sparse_multigraph(random.Random(7), 2000, 4)
+    start = time.perf_counter()
+    detect_mo(g, 42)
+    assert time.perf_counter() - start < 3.0
 
 
 class TestLP:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from depnet import (DependencyKind, FormatError, GraphError, ResolveError,
+from depnet import (DependencyKind, FormatError, ResolveError,
                     ResolveOptions, build_graph, load_edge_list,
                     load_partition, package_partition, parse_class_headers,
                     parse_corpus, remove_isolated, resolve_dependencies,
@@ -175,8 +175,14 @@ class TestPartitionFile:
             load_partition(io.StringIO("n0\tx\n"), two_triangles)
 
     def test_unknown_fqn_rejected(self, two_triangles):
-        with pytest.raises(GraphError):
-            load_partition(io.StringIO("zzz\tx\n"), two_triangles)
+        with pytest.raises(FormatError, match=r"line 2: unknown class 'zzz'"):
+            load_partition(io.StringIO("n0\tx\nzzz\tx\n"), two_triangles)
+
+    def test_duplicate_fqn_rejected(self, two_triangles):
+        rows = "".join(f"n{i}\tx\n" for i in range(6)) + "\nn3\ty\n"
+        with pytest.raises(FormatError,
+                           match=r"line 8: duplicate class 'n3' \(first on line 4\)"):
+            load_partition(io.StringIO(rows), two_triangles)
 
 
 class TestGoldenCorpus:
