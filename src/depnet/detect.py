@@ -13,12 +13,13 @@ import bisect
 import heapq
 import random
 import warnings
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from .errors import GraphError, SizeCapError
-from .graph import ClassGraph, Partition, WeightedGraph, collapse_to_weighted
+from .graph import (ClassGraph, Partition, WeightedGraph, collapse_to_weighted,
+                    component_labels)
 from .metrics import modularity_numerator
 
 EB_DEFAULT_EDGE_CAP = 5000
@@ -43,68 +44,77 @@ class Dendrogram:
         return self.levels[self.best_index]
 
 
-def _components(adj: dict[int, set[int]]) -> dict[int, int]:
-    """Component index per node; indices assigned in ascending node order."""
-    labels: dict[int, int] = {}
-    comp = 0
-    for start in sorted(adj):
-        if start in labels:
-            continue
-        labels[start] = comp
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in labels:
-                    labels[v] = comp
-                    queue.append(v)
-        comp += 1
-    return labels
-
-
-def _edge_betweenness(adj: dict[int, set[int]]) -> dict[tuple[int, int], float]:
+def _edge_betweenness(
+    adj: dict[int, set[int]],
+    nodes: Iterable[int],
+) -> dict[tuple[int, int], float]:
     """Brandes accumulation over hop-count shortest paths.
 
     The score of an edge is the number of unordered node pairs whose shortest
-    paths traverse it, split equally among equal-length alternatives.
+    paths traverse it, split equally among equal-length alternatives. Only
+    the edges among `nodes` are scored: they must be ascending and closed
+    under adjacency (whole components). Sources run in ascending id order and
+    each neighbour is visited in `adj`'s set order, so every float sum is
+    formed in the same order however the graph is split into calls.
     """
-    scores: dict[tuple[int, int], float] = {
-        (u, v) if u < v else (v, u): 0.0
-        for u in adj for v in adj[u]
-    }
-    for source in adj:
-        sigma = {source: 1.0}
-        dist = {source: 0}
-        order: list[int] = []
-        preds: dict[int, list[int]] = {source: []}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    sigma[v] = 0.0
-                    preds[v] = []
-                    queue.append(v)
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        delta = {u: 0.0 for u in order}
+    nodes = list(nodes)
+    index = {u: i for i, u in enumerate(nodes)}
+    # Dense relabelling: nbrs[i] lists (neighbour, edge index) slots.
+    keys: list[tuple[int, int]] = []
+    edge_index: dict[tuple[int, int], int] = {}
+    nbrs: list[list[tuple[int, int]]] = []
+    for u in nodes:
+        slots = []
+        for v in list(adj[u]):
+            key = (u, v) if u < v else (v, u)
+            e = edge_index.get(key)
+            if e is None:
+                e = edge_index[key] = len(keys)
+                keys.append(key)
+            slots.append((index[v], e))
+        nbrs.append(slots)
+    scores = [0.0] * len(keys)
+    dist = [-1] * len(nodes)
+    sigma = [0.0] * len(nodes)
+    delta = [0.0] * len(nodes)
+    # preds[v]: (predecessor, edge index) slots, in BFS order.
+    preds: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    for source in range(len(nodes)):
+        dist[source] = 0
+        sigma[source] = 1.0
+        preds[source] = []
+        order = [source]  # the BFS queue; it grows while being read
+        for u in order:
+            d_next = dist[u] + 1
+            sigma_u = sigma[u]
+            for v, e in nbrs[u]:
+                d_v = dist[v]
+                if d_v < 0:
+                    dist[v] = d_next
+                    sigma[v] = sigma_u
+                    preds[v] = [(u, e)]
+                    order.append(v)
+                elif d_v == d_next:
+                    sigma[v] += sigma_u
+                    preds[v].append((u, e))
+        for u in order:
+            dist[u] = -1
+            delta[u] = 0.0
         for w in reversed(order):
-            for u in preds[w]:
-                contribution = sigma[u] / sigma[w] * (1.0 + delta[w])
-                key = (u, w) if u < w else (w, u)
-                scores[key] += contribution
+            sigma_w = sigma[w]
+            weight = 1.0 + delta[w]
+            for u, e in preds[w]:
+                contribution = sigma[u] / sigma_w * weight
+                scores[e] += contribution
                 delta[u] += contribution
     # Each unordered pair was counted from both endpoints.
-    return {edge: score / 2.0 for edge, score in scores.items()}
+    return {key: score / 2.0 for key, score in zip(keys, scores)}
 
 
 def edge_betweenness(wgraph: WeightedGraph) -> dict[tuple[int, int], float]:
     """Edge betweenness of a simple graph; weights are not used as distances."""
     adj = {u: set(wgraph.neighbors(u)) for u in range(wgraph.n_nodes)}
-    return _edge_betweenness(adj)
+    return _edge_betweenness(adj, range(wgraph.n_nodes))
 
 
 def detect_eb(
@@ -116,8 +126,19 @@ def detect_eb(
     Betweenness runs on the collapsed simple graph with hop-count paths;
     removing an edge deletes the whole parallel bundle. Q is evaluated on the
     original multigraph whenever the component count grows, and the max-Q
-    component partition is returned. Fully deterministic: betweenness ties
-    break on the lexicographically smallest (min-id, max-id) pair.
+    component partition is returned. Fully deterministic.
+
+    The cut is the edge of maximal score; among scores that are exactly
+    equal as floats it is the lexicographically smallest (min-id, max-id)
+    pair. Equivalent edges can still get different scores through rounding
+    (the 4-cube's 32 equivalent edges get 5 distinct ones), so the tie-break
+    does not always decide between them; see ROADMAP item 4 (EB ties).
+
+    After a cut, betweenness can change only inside the component that lost
+    the edge (Newman & Girvan 2004), so Brandes (2001) is rerun only there:
+    on the one component, or on both halves if the cut split it. A cut costs
+    O(k*e) for a component of k nodes and e edges instead of O(n*m) for the
+    whole graph; the search for the maximal score still scans every edge.
     """
     if graph.n_nodes == 0:
         raise GraphError("empty graph")
@@ -127,27 +148,33 @@ def detect_eb(
             f"collapsed graph has {collapsed.n_edges} edges "
             f"(cap {max_edges}); use the MO or LP algorithm instead"
         )
-    adj = {u: set(collapsed.neighbors(u)) for u in range(collapsed.n_nodes)}
+    n = collapsed.n_nodes
+    adj = {u: set(collapsed.neighbors(u)) for u in range(n)}
     denom = 4 * graph.m ** 2 if graph.m else 1
 
-    labels = _components(adj)
-    partition = Partition(labels)
+    partition = Partition(component_labels(adj, range(n)))
+    n_components = partition.n_blocks
     best_num = modularity_numerator(graph, partition)
     best_partition = partition
-    n_components = partition.n_blocks
     levels = [DendrogramLevel(n_components, best_num / denom)]
     best_index = 0
 
-    while any(adj[u] for u in adj):
-        scores = _edge_betweenness(adj)
+    scores = _edge_betweenness(adj, range(n))
+    while scores:
         cut = max(scores.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))[0]
+        del scores[cut]
         u, v = cut
         adj[u].discard(v)
         adj[v].discard(u)
-        labels = _components(adj)
-        partition = Partition(labels)
-        if partition.n_blocks > n_components:
-            n_components = partition.n_blocks
+        # Side 0 is u's component; v is on side 1 if the cut split them.
+        reach = component_labels(adj, cut)
+        for side in range(reach[v] + 1):
+            scores.update(_edge_betweenness(
+                adj, sorted(x for x, c in reach.items() if c == side)))
+        if reach[v]:
+            # A full pass, as the label order sets the float sums of `nmi`.
+            partition = Partition(component_labels(adj, range(n)))
+            n_components += 1
             num = modularity_numerator(graph, partition)
             levels.append(DendrogramLevel(n_components, num / denom))
             if num > best_num:

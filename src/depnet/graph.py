@@ -231,23 +231,32 @@ def remove_isolated(graph: ClassGraph) -> ClassGraph:
     return ClassGraph(fqns, edges)
 
 
-def connected_components(graph: ClassGraph) -> Partition:
-    """Label every node with the index of its connected component."""
+def component_labels(
+    adj: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
+    starts: Iterable[int],
+) -> dict[int, int]:
+    """Component index of every node reachable from `starts` by BFS over
+    `adj` (node -> neighbours); indices follow the order of the starts."""
     labels: dict[int, int] = {}
     comp = 0
-    for start in range(graph.n_nodes):
+    for start in starts:
         if start in labels:
             continue
-        queue = deque([start])
         labels[start] = comp
+        queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in graph.neighbors(u):
+            for v in adj[u]:
                 if v not in labels:
                     labels[v] = comp
                     queue.append(v)
         comp += 1
-    return Partition(labels)
+    return labels
+
+
+def connected_components(graph: ClassGraph) -> Partition:
+    """Label every node with the index of its connected component."""
+    return Partition(component_labels(graph._adj, range(graph.n_nodes)))
 
 
 def induced_subgraph(graph: ClassGraph, node_set: Iterable[int]) -> ClassGraph:

@@ -4,11 +4,11 @@ distributions with a power-law fit, and batch aggregation over seeded runs."""
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import GraphError
-from .graph import ClassGraph, Label, Partition
+from .graph import ClassGraph, Label, Partition, component_labels
 
 SIGNIFICANT_Q = 0.30  # conventional threshold for meaningful community structure
 
@@ -87,7 +87,12 @@ def split_disconnected(graph: ClassGraph, partition: Partition) -> Partition:
     _check_cover(graph, partition)
     labels: dict[int, Label] = {}
     for label, block in sorted(partition.blocks.items(), key=lambda kv: min(kv[1])):
-        components = _components_within(graph, block)
+        inner = {u: [v for v in graph.neighbors(u) if v in block] for u in block}
+        parts = component_labels(inner, sorted(block))
+        # Sets filled in BFS order, as label order sets nmi's float sums.
+        components: list[set[int]] = [set() for _ in range(max(parts.values()) + 1)]
+        for node, idx in parts.items():
+            components[idx].add(node)
         if len(components) == 1:
             for node in block:
                 labels[node] = label
@@ -96,27 +101,6 @@ def split_disconnected(graph: ClassGraph, partition: Partition) -> Partition:
                 for node in component:
                     labels[node] = f"{label}#{idx}"
     return Partition(labels)
-
-
-def _components_within(graph: ClassGraph, block: frozenset[int]) -> list[set[int]]:
-    """Connected components of the subgraph induced by a block, by min node id."""
-    seen: set[int] = set()
-    components = []
-    for start in sorted(block):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors(u):
-                if v in block and v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    queue.append(v)
-        components.append(comp)
-    return components
 
 
 @dataclass

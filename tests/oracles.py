@@ -4,17 +4,25 @@ These deliberately use the slowest, most literal formulations (ordered-pair
 sums, exhaustive enumeration, direct entropy sums) and stay independent of
 the library's optimized code paths. `detect_mo_reference` is the original
 full-rescan greedy agglomeration, kept verbatim as the slow reference that the
-incremental `detect_mo` must reproduce exactly.
+incremental `detect_mo` must reproduce exactly. Likewise
+`edge_betweenness_reference` and `detect_eb_reference` are the original
+whole-graph Brandes pass and divisive loop, which recompute every score and
+every component after each cut; the component-local `detect_eb` must match
+them bit for bit. `split_disconnected_reference` is the original P+ split with
+its own component search; its label order must be kept, since `nmi` sums
+floats in that order.
 """
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 
 from depnet import (ClassGraph, Dendrogram, DependencyKind, GraphError,
-                    Partition, build_graph)
-from depnet.detect import DendrogramLevel
+                    Partition, SizeCapError, build_graph, collapse_to_weighted)
+from depnet.detect import EB_DEFAULT_EDGE_CAP, DendrogramLevel
+from depnet.graph import Label
+from depnet.metrics import modularity_numerator
 
 
 def modularity_ordered_pairs(graph: ClassGraph, partition: Partition) -> float:
@@ -170,3 +178,151 @@ def detect_mo_reference(graph: ClassGraph, seed: int) -> tuple[Partition, Dendro
             best_index = len(levels) - 1
     partition = Partition(dict(enumerate(best_labels))).relabel_dense()
     return partition, Dendrogram(levels, best_index)
+
+
+def _components_reference(adj: dict[int, set[int]]) -> dict[int, int]:
+    """Component index per node; indices assigned in ascending node order."""
+    labels: dict[int, int] = {}
+    comp = 0
+    for start in sorted(adj):
+        if start in labels:
+            continue
+        labels[start] = comp
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in labels:
+                    labels[v] = comp
+                    queue.append(v)
+        comp += 1
+    return labels
+
+
+def edge_betweenness_reference(adj: dict[int, set[int]]) -> dict[tuple[int, int], float]:
+    """Brandes accumulation over hop-count shortest paths.
+
+    The score of an edge is the number of unordered node pairs whose shortest
+    paths traverse it, split equally among equal-length alternatives.
+    """
+    scores: dict[tuple[int, int], float] = {
+        (u, v) if u < v else (v, u): 0.0
+        for u in adj for v in adj[u]
+    }
+    for source in adj:
+        sigma = {source: 1.0}
+        dist = {source: 0}
+        order: list[int] = []
+        preds: dict[int, list[int]] = {source: []}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    sigma[v] = 0.0
+                    preds[v] = []
+                    queue.append(v)
+                if dist[v] == dist[u] + 1:
+                    sigma[v] += sigma[u]
+                    preds[v].append(u)
+        delta = {u: 0.0 for u in order}
+        for w in reversed(order):
+            for u in preds[w]:
+                contribution = sigma[u] / sigma[w] * (1.0 + delta[w])
+                key = (u, w) if u < w else (w, u)
+                scores[key] += contribution
+                delta[u] += contribution
+    # Each unordered pair was counted from both endpoints.
+    return {edge: score / 2.0 for edge, score in scores.items()}
+
+
+def detect_eb_reference(
+    graph: ClassGraph,
+    max_edges: int = EB_DEFAULT_EDGE_CAP,
+) -> tuple[Partition, Dendrogram]:
+    """Divisive detection: repeatedly cut the max-betweenness edge bundle.
+
+    Betweenness runs on the collapsed simple graph with hop-count paths;
+    removing an edge deletes the whole parallel bundle. Q is evaluated on the
+    original multigraph whenever the component count grows, and the max-Q
+    component partition is returned. Fully deterministic: betweenness ties
+    break on the lexicographically smallest (min-id, max-id) pair.
+    """
+    if graph.n_nodes == 0:
+        raise GraphError("empty graph")
+    collapsed = collapse_to_weighted(graph)
+    if collapsed.n_edges > max_edges:
+        raise SizeCapError(
+            f"collapsed graph has {collapsed.n_edges} edges "
+            f"(cap {max_edges}); use the MO or LP algorithm instead"
+        )
+    adj = {u: set(collapsed.neighbors(u)) for u in range(collapsed.n_nodes)}
+    denom = 4 * graph.m ** 2 if graph.m else 1
+
+    labels = _components_reference(adj)
+    partition = Partition(labels)
+    best_num = modularity_numerator(graph, partition)
+    best_partition = partition
+    n_components = partition.n_blocks
+    levels = [DendrogramLevel(n_components, best_num / denom)]
+    best_index = 0
+
+    while any(adj[u] for u in adj):
+        scores = edge_betweenness_reference(adj)
+        cut = max(scores.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))[0]
+        u, v = cut
+        adj[u].discard(v)
+        adj[v].discard(u)
+        labels = _components_reference(adj)
+        partition = Partition(labels)
+        if partition.n_blocks > n_components:
+            n_components = partition.n_blocks
+            num = modularity_numerator(graph, partition)
+            levels.append(DendrogramLevel(n_components, num / denom))
+            if num > best_num:
+                best_num = num
+                best_partition = partition
+                best_index = len(levels) - 1
+    return best_partition.relabel_dense(), Dendrogram(levels, best_index)
+
+
+def split_disconnected_reference(graph: ClassGraph, partition: Partition) -> Partition:
+    """Replace each block by the connected components of its induced subgraph.
+
+    Components of a split block inherit the parent label with a numeric
+    suffix; connected blocks keep their label. Idempotent.
+    """
+    labels: dict[int, Label] = {}
+    for label, block in sorted(partition.blocks.items(), key=lambda kv: min(kv[1])):
+        components = _components_within_reference(graph, block)
+        if len(components) == 1:
+            for node in block:
+                labels[node] = label
+        else:
+            for idx, component in enumerate(components, start=1):
+                for node in component:
+                    labels[node] = f"{label}#{idx}"
+    return Partition(labels)
+
+
+def _components_within_reference(graph: ClassGraph, block: frozenset[int]) -> list[set[int]]:
+    """Connected components of the subgraph induced by a block, by min node id."""
+    seen: set[int] = set()
+    components = []
+    for start in sorted(block):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        seen.add(start)
+        while queue:
+            u = queue.popleft()
+            for v in graph.neighbors(u):
+                if v in block and v not in seen:
+                    seen.add(v)
+                    comp.add(v)
+                    queue.append(v)
+        components.append(comp)
+    return components

@@ -8,10 +8,13 @@ import pytest
 from depnet import (GraphError, Partition, SizeCapError, collapse_to_weighted,
                     connected_components, detect_eb, detect_lp, detect_mo,
                     edge_betweenness, modularity, refine_packages)
+from depnet.detect import _edge_betweenness
+from depnet.graph import component_labels
 
 from conftest import graph_from_pairs
-from oracles import (detect_mo_reference, random_multigraph, random_partition,
-                     random_sparse_multigraph)
+from oracles import (detect_eb_reference, detect_mo_reference,
+                     edge_betweenness_reference, random_multigraph,
+                     random_partition, random_sparse_multigraph)
 
 TWO_TRIANGLES_Q = 5 / 14  # oracle-verified optimum of the bridged triangles
 
@@ -115,10 +118,15 @@ class TestMO:
         assert dendro.levels[-1].n_communities == 1
 
 
+def assert_same_partition(part, ref_part):
+    # Label order too: it sets the order of float sums such as nmi's.
+    assert list(part.labels.items()) == list(ref_part.labels.items())
+
+
 def assert_mo_matches_reference(graph, seed):
     part, dendro = detect_mo(graph, seed)
     ref_part, ref_dendro = detect_mo_reference(graph, seed)
-    assert part == ref_part
+    assert_same_partition(part, ref_part)
     assert dendro.levels == ref_dendro.levels
     assert dendro.best_index == ref_dendro.best_index
 
@@ -176,6 +184,111 @@ def test_mo_time_bound_two_thousand_nodes():
     start = time.perf_counter()
     detect_mo(g, 42)
     assert time.perf_counter() - start < 3.0
+
+
+def hypercube(dim):
+    return graph_from_pairs([(u, u ^ (1 << b)) for u in range(1 << dim)
+                             for b in range(dim) if u < u ^ (1 << b)])
+
+
+def torus(rows, cols):
+    pairs = []
+    for r in range(rows):
+        for c in range(cols):
+            u = r * cols + c
+            pairs += [(u, r * cols + (c + 1) % cols), (u, ((r + 1) % rows) * cols + c)]
+    return graph_from_pairs(pairs)
+
+
+EB_TIE_HEAVY_GRAPHS = {
+    "hypercube_3": lambda: hypercube(3),
+    "hypercube_4": lambda: hypercube(4),
+    "hypercube_5": lambda: hypercube(5),
+    "bipartite_3_4": lambda: graph_from_pairs(TIE_HEAVY_SHAPES["bipartite_3_4"]),
+    "ring": lambda: graph_from_pairs(TIE_HEAVY_SHAPES["ring"]),
+    "torus_4_4": lambda: torus(4, 4),
+    "star": lambda: graph_from_pairs(TIE_HEAVY_SHAPES["star"]),
+    "clique_ring": clique_ring,
+}
+
+
+def assert_eb_matches_reference(graph):
+    part, dendro = detect_eb(graph)
+    ref_part, ref_dendro = detect_eb_reference(graph)
+    assert_same_partition(part, ref_part)
+    assert dendro.levels == ref_dendro.levels
+    assert dendro.best_index == ref_dendro.best_index
+    collapsed = collapse_to_weighted(graph)
+    adj = {u: set(collapsed.neighbors(u)) for u in range(graph.n_nodes)}
+    ref_scores = edge_betweenness_reference(adj)
+    assert edge_betweenness(collapsed) == ref_scores
+    # Scoring each component on its own gives the whole-graph floats.
+    labels = component_labels(adj, range(graph.n_nodes))
+    local: dict = {}
+    for comp in set(labels.values()):
+        local.update(_edge_betweenness(
+            adj, sorted(u for u, c in labels.items() if c == comp)))
+    assert local == ref_scores
+
+
+class TestEBMatchesReference:
+    """The component-local EB reproduces the whole-graph reference exactly:
+    partition, every dendrogram level, the best index and every score."""
+
+    def test_random_multigraphs(self):
+        rng = random.Random(2001)
+        for _ in range(320):
+            # Up to 60 nodes and often fewer edges than nodes: many graphs
+            # are disconnected and keep isolated nodes.
+            assert_eb_matches_reference(random_multigraph(
+                rng, max_nodes=rng.randint(2, 60),
+                max_edges=rng.randint(1, 150)))
+
+    @pytest.mark.parametrize("shape", sorted(EB_TIE_HEAVY_GRAPHS))
+    def test_tie_heavy_shapes(self, shape):
+        assert_eb_matches_reference(EB_TIE_HEAVY_GRAPHS[shape]())
+
+    def test_disjoint_shapes_with_isolated_nodes(self):
+        pairs = TIE_HEAVY_SHAPES["disjoint_with_isolated"]
+        assert_eb_matches_reference(graph_from_pairs(pairs, n=15))
+
+    def test_isolated_nodes_without_edges(self):
+        g = graph_from_pairs([], n=5)
+        assert g.m == 0
+        assert_eb_matches_reference(g)
+
+    def test_hundred_nodes(self):
+        assert_eb_matches_reference(
+            random_sparse_multigraph(random.Random(100), 100, 4))
+
+
+def test_eb_time_bound_hundred_nodes():
+    """One EB run on 100 nodes and 400 edges, bounded with headroom for slow
+    machines; a regression guard, not a test of the speedup."""
+    g = random_sparse_multigraph(random.Random(7), 100, 4)
+    start = time.perf_counter()
+    detect_eb(g)
+    assert time.perf_counter() - start < 8.0
+
+
+def test_edge_betweenness_matches_networkx():
+    """Unnormalised edge betweenness against networkx on simple graphs up to
+    a few hundred nodes, disconnected ones included."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2006)
+    for _ in range(12):
+        n = rng.randint(2, 300)
+        g = random_sparse_multigraph(rng, n, rng.choice([0.4, 0.8, 1.5, 3.0]))
+        collapsed = collapse_to_weighted(g)
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(collapsed.weights)
+        expected = nx.edge_betweenness_centrality(reference, normalized=False)
+        scores = edge_betweenness(collapsed)
+        assert len(scores) == len(expected)
+        for (u, v), value in expected.items():
+            key = (u, v) if u < v else (v, u)
+            assert scores[key] == pytest.approx(value, rel=1e-9)
 
 
 class TestLP:

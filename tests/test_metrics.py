@@ -11,7 +11,8 @@ from depnet.graph import DependencyKind
 
 from conftest import graph_from_pairs
 from oracles import (modularity_ordered_pairs, nmi_direct, random_multigraph,
-                     random_partition)
+                     random_partition, random_sparse_multigraph,
+                     split_disconnected_reference)
 
 
 class TestModularity:
@@ -116,6 +117,16 @@ class TestSplitDisconnected:
             for block in result.blocks.values():
                 sub = induced_subgraph(g, block)
                 assert connected_components(sub).n_blocks == 1
+
+    def test_label_order_matches_reference(self):
+        # nmi sums floats in label order, so the order is part of the result.
+        rng = random.Random(31)
+        for _ in range(200):
+            g = random_sparse_multigraph(rng, rng.randint(2, 300),
+                                         rng.choice([0.5, 1.0, 2.0]))
+            part = random_partition(rng, g.n_nodes)
+            assert (list(split_disconnected(g, part).labels.items())
+                    == list(split_disconnected_reference(g, part).labels.items()))
 
 
 class TestSizeDistribution:
