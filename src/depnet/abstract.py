@@ -8,7 +8,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import FormatError, GraphError
 from .graph import ClassGraph, Partition
@@ -159,6 +158,10 @@ def _export_dot(cgraph: CommunityGraph) -> str:
 
 
 def _export_graphml(cgraph: CommunityGraph) -> str:
+    # Imported here: xml.sax.saxutils pulls in urllib.request, http.client
+    # and ssl, which would otherwise load on every start-up.
+    from xml.sax.saxutils import escape, quoteattr
+
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',

@@ -8,7 +8,9 @@ are skipped; method bodies and field initializers are ignored when present.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -22,15 +24,32 @@ PRIMITIVES = frozenset({
 KEYWORDS = frozenset({"package", "import", "class", "interface",
                       "extends", "implements", "throws", "void"})
 
-_PUNCT = set("{}()<>[];,.=?&")
+# One match per token: comments and the whitespace " \t\r\n" are skipped
+# first, then one of the groups below is taken. A match with no group is the
+# end of input or a lexical error. On str, [\w$] is exactly
+# `ch.isalnum() or ch in "_$"`. Literals are escape-aware, so a backslash
+# can never step past the end of the input.
+_TOKEN = re.compile(r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
+    (?: ([\w$]+)                                 # 1: word
+      | (\.\.\. | [{}()<>\[\];,.=?&])           # 2: punctuation
+      | ( "[^"\\]*(?:\\.[^"\\]*)*"               # 3: string or char literal
+        | '[^'\\]*(?:\\.[^'\\]*)*' )
+      | (@)                                      # 4: annotation
+    )?""", re.VERBOSE | re.DOTALL)
+_DOTTED = re.compile(r"[\w$.]*")  # a numeric literal or an annotation name
+_PARENS = re.compile(r"[()]")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "punct", "eof"
+class Token(NamedTuple):
+    kind: str  # "ident", "punct", "literal", "eof"
     value: str
-    line: int
-    col: int
+    pos: int  # offset of the first character in the source
+
+
+def position(source: str, pos: int) -> tuple[int, int]:
+    """1-based (line, column) of offset pos; only "\\n" ends a line."""
+    return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
 
 
 @dataclass
@@ -74,113 +93,86 @@ class ClassDecl:
         return self.fqn.rsplit(".", 1)[-1]
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_$"
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$"
-
-
 def tokenize(source: str, filename: str | None = None) -> list[Token]:
-    """Produce the token stream, skipping comments, modifiers and annotations."""
+    """Produce the token stream, skipping comments, modifiers and annotations.
+
+    One compiled pattern is matched at each offset. It skips whitespace and
+    comments, then takes a word ``[\\w$]+``, punctuation (``...`` included),
+    a string or char literal, or ``@``. A word that starts with a letter,
+    ``_`` or ``$`` is an identifier, and dropped if it is a modifier; one that
+    starts with a digit is re-read as a numeric literal ``[\\w$.]+``; any
+    other start is an unexpected character. An annotation is ``@`` and a name,
+    then an optional ``(...)`` right after it whose parentheses are counted
+    over raw characters; it yields no token.
+
+    Each token holds the offset of its first character; ``position`` turns an
+    offset into a line and column, which only errors and ``ClassDecl.line``
+    need. ParseError is raised for an unexpected character, an unterminated
+    block comment, an unterminated string or char literal (one ending in a
+    backslash at end of input included), an ``@`` with no name, and an
+    annotation whose ``(`` is never closed ("unterminated annotation").
+    """
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
+    append = tokens.append
+    match = _TOKEN.match
     n = len(source)
+    i = 0
 
-    def err(msg: str, ln: int, cl: int) -> ParseError:
-        return ParseError(msg, ln, cl, filename)
+    def err(msg: str, pos: int) -> ParseError:
+        return ParseError(msg, *position(source, pos), filename)
 
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if source[i] == "\n":
-                line += 1
-                col = 1
+    while True:
+        m = match(source, i)
+        group = m.lastindex
+        if group is None:
+            i = m.end()
+            if i == n:
+                break
+            if source.startswith("/*", i):
+                raise err("unterminated block comment", i)
+            if source[i] in "\"'":
+                raise err("unterminated literal", i)
+            raise err(f"unexpected character {source[i]!r}", i)
+        start, i = m.span(group)
+        if group == 1:
+            ch = source[start]
+            if ch.isalpha() or ch in "_$":
+                word = source[start:i]
+                if word not in MODIFIERS:
+                    append(Token("ident", word, start))
+            elif ch.isdigit():
+                # Numeric literal; only ever skipped, so lex permissively.
+                i = _DOTTED.match(source, start).end()
+                append(Token("literal", source[start:i], start))
             else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise err("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        if ch == "@":
-            # Annotation: skip @QualifiedName and an optional balanced (...) tail.
-            advance(1)
-            if i >= n or not _is_ident_start(source[i]):
-                raise err("expected annotation name after '@'", line, col)
-            while i < n and (_is_ident_part(source[i]) or source[i] == "."):
-                advance(1)
-            if i < n and source[i] == "(":
+                raise err(f"unexpected character {ch!r}", start)
+        elif group == 2:
+            append(Token("punct", source[start:i], start))
+        elif group == 3:
+            append(Token("literal", source[start:i], start))
+        else:
+            end = _DOTTED.match(source, i).end()
+            if end == i or not (source[i].isalpha() or source[i] in "_$"):
+                raise err("expected annotation name after '@'", i)
+            if source.startswith("(", end):
                 depth = 0
-                while i < n:
-                    if source[i] == "(":
-                        depth += 1
-                    elif source[i] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            advance(1)
-                            break
-                    advance(1)
-            continue
-        if _is_ident_start(ch):
-            start, start_line, start_col = i, line, col
-            while i < n and _is_ident_part(source[i]):
-                advance(1)
-            word = source[start:i]
-            if word in MODIFIERS:
-                continue
-            tokens.append(Token("ident", word, start_line, start_col))
-            continue
-        if ch.isdigit():
-            # Numeric literal; only ever skipped, so lex permissively.
-            start, start_line, start_col = i, line, col
-            while i < n and (_is_ident_part(source[i]) or source[i] == "."):
-                advance(1)
-            tokens.append(Token("literal", source[start:i], start_line, start_col))
-            continue
-        if ch in "\"'":
-            quote, start_line, start_col = ch, line, col
-            start = i
-            advance(1)
-            while i < n and source[i] != quote:
-                advance(2 if source[i] == "\\" else 1)
-            if i >= n:
-                raise err("unterminated literal", start_line, start_col)
-            advance(1)
-            tokens.append(Token("literal", source[start:i], start_line, start_col))
-            continue
-        if source.startswith("...", i):
-            tokens.append(Token("punct", "...", line, col))
-            advance(3)
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            advance(1)
-            continue
-        raise err(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+                for paren in _PARENS.finditer(source, end):
+                    depth += 1 if paren.group() == "(" else -1
+                    if depth == 0:
+                        break
+                else:
+                    raise err("unterminated annotation", end)
+                end = paren.end()
+            i = end
+    append(Token("eof", "", n))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str | None = None):
+    def __init__(self, tokens: list[Token], source: str,
+                 filename: str | None = None):
         self.tokens = tokens
+        self.source = source
         self.pos = 0
         self.filename = filename
         self.package = ""
@@ -199,7 +191,7 @@ class _Parser:
 
     def error(self, message: str, tok: Token | None = None) -> ParseError:
         tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col, self.filename)
+        return ParseError(message, *position(self.source, tok.pos), self.filename)
 
     def at_punct(self, value: str) -> bool:
         tok = self.peek()
@@ -263,7 +255,8 @@ class _Parser:
         else:
             fqn = f"{outer.fqn}.{name_tok.value}"
         decl = ClassDecl(fqn=fqn, package=self.package, is_interface=is_interface,
-                         imports=list(self.imports), line=name_tok.line)
+                         imports=list(self.imports),
+                         line=position(self.source, name_tok.pos)[0])
         if self.at_punct("<"):
             decl.type_params |= self.type_param_names()
         if self.at_word("extends"):
@@ -439,4 +432,4 @@ class _Parser:
 def parse_class_headers(source_text: str, filename: str | None = None) -> list[ClassDecl]:
     """Parse one header-source file into ClassDecls (nested classes flattened)."""
     tokens = tokenize(source_text, filename)
-    return _Parser(tokens, filename).parse_unit()
+    return _Parser(tokens, source_text, filename).parse_unit()

@@ -68,9 +68,10 @@ def resolve_dependencies(
         if decl.fqn in by_fqn:
             raise ResolveError(f"duplicate class {decl.fqn!r}")
         by_fqn[decl.fqn] = decl
-    by_simple: dict[str, list[ClassDecl]] = {}
+    # Same-package candidates per (package, simple name), in declaration order.
+    by_package: dict[tuple[str, str], list[ClassDecl]] = {}
     for decl in decls:
-        by_simple.setdefault(decl.simple_name, []).append(decl)
+        by_package.setdefault((decl.package, decl.simple_name), []).append(decl)
 
     externals: dict[str, None] = {}
 
@@ -81,8 +82,7 @@ def resolve_dependencies(
             return name  # qualified: exact match or external as written
         if name in imports:
             return imports[name]  # may itself be external
-        same_pkg = [d for d in by_simple.get(name, ())
-                    if d.package == decl.package]
+        same_pkg = by_package.get((decl.package, name), ())
         if len(same_pkg) == 1:
             return same_pkg[0].fqn
         if len(same_pkg) > 1:

@@ -10,18 +10,23 @@ whole-graph Brandes pass and divisive loop, which recompute every score and
 every component after each cut; the component-local `detect_eb` must match
 them bit for bit. `split_disconnected_reference` is the original P+ split with
 its own component search; its label order must be kept, since `nmi` sums
-floats in that order.
+floats in that order. `tokenize_reference` is the original character-stepping
+tokenizer, which tracks line and column for every token; the master-regex
+`tokenize` must give the same stream, with `position` for line and column.
 """
 
 import math
 import random
 from collections import Counter, deque
+from dataclasses import dataclass
 from itertools import combinations
 
 from depnet import (ClassGraph, Dendrogram, DependencyKind, GraphError,
-                    Partition, SizeCapError, build_graph, collapse_to_weighted)
+                    ParseError, Partition, SizeCapError, build_graph,
+                    collapse_to_weighted)
 from depnet.detect import EB_DEFAULT_EDGE_CAP, DendrogramLevel
 from depnet.graph import Label
+from depnet.headers import MODIFIERS
 from depnet.metrics import modularity_numerator
 
 
@@ -326,3 +331,118 @@ def _components_within_reference(graph: ClassGraph, block: frozenset[int]) -> li
                     queue.append(v)
         components.append(comp)
     return components
+
+
+_PUNCT_REFERENCE = set("{}()<>[];,.=?&")
+
+
+@dataclass(frozen=True)
+class ReferenceToken:
+    kind: str  # "ident", "punct", "eof"
+    value: str
+    line: int
+    col: int
+
+
+def _is_ident_start_reference(ch: str) -> bool:
+    return ch.isalpha() or ch in "_$"
+
+
+def _is_ident_part_reference(ch: str) -> bool:
+    return ch.isalnum() or ch in "_$"
+
+
+def tokenize_reference(source: str, filename: str | None = None) -> list[ReferenceToken]:
+    """Produce the token stream, skipping comments, modifiers and annotations."""
+    tokens: list[ReferenceToken] = []
+    i, line, col = 0, 1, 1
+    n = len(source)
+
+    def err(msg: str, ln: int, cl: int) -> ParseError:
+        return ParseError(msg, ln, cl, filename)
+
+    def advance(count: int) -> None:
+        nonlocal i, line, col
+        for _ in range(count):
+            if source[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                advance(1)
+            continue
+        if source.startswith("/*", i):
+            start_line, start_col = line, col
+            advance(2)
+            while i < n and not source.startswith("*/", i):
+                advance(1)
+            if i >= n:
+                raise err("unterminated block comment", start_line, start_col)
+            advance(2)
+            continue
+        if ch == "@":
+            # Annotation: skip @QualifiedName and an optional balanced (...) tail.
+            advance(1)
+            if i >= n or not _is_ident_start_reference(source[i]):
+                raise err("expected annotation name after '@'", line, col)
+            while i < n and (_is_ident_part_reference(source[i]) or source[i] == "."):
+                advance(1)
+            if i < n and source[i] == "(":
+                depth = 0
+                while i < n:
+                    if source[i] == "(":
+                        depth += 1
+                    elif source[i] == ")":
+                        depth -= 1
+                        if depth == 0:
+                            advance(1)
+                            break
+                    advance(1)
+            continue
+        if _is_ident_start_reference(ch):
+            start, start_line, start_col = i, line, col
+            while i < n and _is_ident_part_reference(source[i]):
+                advance(1)
+            word = source[start:i]
+            if word in MODIFIERS:
+                continue
+            tokens.append(ReferenceToken("ident", word, start_line, start_col))
+            continue
+        if ch.isdigit():
+            # Numeric literal; only ever skipped, so lex permissively.
+            start, start_line, start_col = i, line, col
+            while i < n and (_is_ident_part_reference(source[i]) or source[i] == "."):
+                advance(1)
+            tokens.append(ReferenceToken("literal", source[start:i], start_line, start_col))
+            continue
+        if ch in "\"'":
+            quote, start_line, start_col = ch, line, col
+            start = i
+            advance(1)
+            while i < n and source[i] != quote:
+                advance(2 if source[i] == "\\" else 1)
+            if i >= n:
+                raise err("unterminated literal", start_line, start_col)
+            advance(1)
+            tokens.append(ReferenceToken("literal", source[start:i], start_line, start_col))
+            continue
+        if source.startswith("...", i):
+            tokens.append(ReferenceToken("punct", "...", line, col))
+            advance(3)
+            continue
+        if ch in _PUNCT_REFERENCE:
+            tokens.append(ReferenceToken("punct", ch, line, col))
+            advance(1)
+            continue
+        raise err(f"unexpected character {ch!r}", line, col)
+    tokens.append(ReferenceToken("eof", "", line, col))
+    return tokens

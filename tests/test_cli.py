@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -214,6 +216,16 @@ class TestExitCodes:
         bad.write_text("no header\n")
         assert main(["detect", str(bad), "--algo", "lp"]) == 2
 
+    @pytest.mark.parametrize("text", ['class A { String s = "abc\\',
+                                      "class A { char c = '\\"])
+    def test_truncated_literal_is_two(self, tmp_path, capsys, text):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "A.chd").write_text(text)
+        out = tmp_path / "edges.tsv"
+        assert main(["extract", str(src), "--out", str(out)]) == 2
+        assert "unterminated literal" in capsys.readouterr().err
+
     def test_success_is_zero(self, network):
         assert main(["metrics", network]) == 0
 
@@ -226,3 +238,16 @@ class TestExitCodes:
         runner.invoke(cli, ["detect", network, "--algo", "lp", "--runs", "1",
                             "--seed", "123", "--out", str(out_flag)])
         assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+def test_cli_import_skips_xml_and_network_modules():
+    """Start-up stays lean: xml.sax.saxutils (GraphML export only) pulls in
+    urllib.request, http.client and ssl."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, depnet.cli; "
+            "print([m for m in ('xml.sax.saxutils', 'http.client') "
+            "if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env={"PYTHONPATH": str(src)})
+    assert result.stdout.strip() == "[]"

@@ -1,6 +1,15 @@
+import re
+import sys
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depnet import ParseError, parse_class_headers
+from depnet.headers import position, tokenize
+
+from conftest import CORPUS_DIR
+from oracles import tokenize_reference
 
 
 def refs(type_refs):
@@ -145,3 +154,149 @@ def test_imports_stored():
         "package p; import a.b.C; import d.E; class A {}"
     )[0]
     assert decl.imports == ["a.b.C", "d.E"]
+
+
+@pytest.mark.parametrize("source", [
+    'class A { String s = "abc\\',
+    "class A { char c = '\\",
+])
+def test_truncated_literal_is_parse_error(source):
+    """A literal ending in a backslash at end of input is unterminated; the
+    character-stepping tokenizer raised IndexError here."""
+    with pytest.raises(ParseError, match="unterminated literal") as err:
+        parse_class_headers(source)
+    assert (err.value.line, err.value.column) == (1, source.index("=") + 3)
+
+
+def test_unclosed_annotation_rejected():
+    source = "package p; class A { Baz f; } @B(unclosed"
+    with pytest.raises(ParseError, match="unterminated annotation") as err:
+        parse_class_headers(source)
+    assert (err.value.line, err.value.column) == (1, source.index("(") + 1)
+
+
+def test_annotation_arguments_skipped():
+    decl = parse_class_headers(
+        'package p; @A(x = f(1, "s")) class A { @B(c = "()") Baz f; }')[0]
+    assert refs(decl.field_types) == ["Baz"]
+
+
+def test_word_class_is_isalnum_underscore_dollar():
+    """The tokenizer's [\\w$] must agree with str.isalnum() on every code point."""
+    word = re.compile(r"[\w$]")
+    assert [c for c in map(chr, range(sys.maxunicode + 1))
+            if bool(word.match(c)) != (c.isalnum() or c in "_$")] == []
+
+
+def test_position_counts_only_newlines():
+    source = "ab\r\ncd\n\nx"
+    assert [position(source, i) for i in (0, 2, 4, 6, 7, 8, len(source))] == [
+        (1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (4, 1), (4, 2)]
+
+
+def test_class_line_from_offset():
+    decls = parse_class_headers(
+        "package p;\n\n/* a\n b */ class A {\n  class B { }\n}\n")
+    assert [(d.fqn, d.line) for d in decls] == [("p.A.B", 5), ("p.A", 4)]
+
+
+# -- differential against the character-stepping tokenizer -----------------
+
+def token_stream(source):
+    """(kind, value, line, col) per token, or the ParseError as a tuple."""
+    try:
+        return [(t.kind, t.value, *position(source, t.pos))
+                for t in tokenize(source, "f.chd")]
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+def reference_stream(source):
+    try:
+        return [(t.kind, t.value, t.line, t.col)
+                for t in tokenize_reference(source, "f.chd")]
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+def offset_of(source, line, col):
+    start = 0
+    for _ in range(line - 1):
+        start = source.index("\n", start) + 1
+    return start + col - 1
+
+
+def never_closes(text):
+    """True if the '(' that text starts with has no matching ')'."""
+    depth = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            return False
+    return True
+
+
+def test_tokenize_matches_reference_on_golden_corpus():
+    for path in sorted(CORPUS_DIR.glob("*.chd")):
+        source = path.read_text()
+        expected = reference_stream(source)
+        assert isinstance(expected, list)
+        assert token_stream(source) == expected, path.name
+        # ClassDecl.line is the line of the class name token, as before.
+        names = {(value, line) for (k0, v0, _, _), (_, value, line, _)
+                 in zip(expected, expected[1:])
+                 if k0 == "ident" and v0 in ("class", "interface")}
+        decls = parse_class_headers(source, path.name)
+        assert {(d.simple_name, d.line) for d in decls} == names
+
+
+FUZZ_ALPHABET = [
+    "class", "interface", "package", "import", "extends", "implements",
+    "public", "static", "final", "int", "void", "A", "Foo", "x1", "$y", "_z",
+    "2", "0x1F", "2.5f", "//", "/*", "*/", "*", "/", "\"", "'", "\\", "@",
+    "@A", "(", ")", "{", "}", "<", ">", "[", "]", ";", ",", ".", "...", "=",
+    "?", "&", "#", "-", " ", "\n", "\t", "\r", "\x0b", "\u00a0", "é", "²", "½",
+    "Ⅻ", "٣", "ǅ",
+]
+fuzz_text = st.lists(st.sampled_from(FUZZ_ALPHABET), max_size=40).map("".join)
+
+
+@given(fuzz_text)
+@settings(max_examples=400, deadline=None)
+def test_tokenize_matches_reference_on_fuzzed_text(source):
+    """Same stream or the same ParseError, apart from the two documented
+    fixes: a trailing backslash in a literal (IndexError before) and an
+    annotation whose '(' never closes (silently swallowed before)."""
+    got = token_stream(source)
+    try:
+        expected = reference_stream(source)
+    except IndexError:
+        assert isinstance(got, tuple) and "unterminated literal" in got[0]
+        assert source[offset_of(source, got[1], got[2])] in "\"'"
+        return
+    if isinstance(got, tuple) and "unterminated annotation" in got[0]:
+        assert isinstance(expected, list)
+        assert never_closes(source[offset_of(source, got[1], got[2]):])
+        return
+    assert got == expected
+
+
+@given(st.one_of(st.text(), fuzz_text))
+@settings(max_examples=200, deadline=None)
+def test_parse_gives_result_or_parse_error(source):
+    try:
+        decls = parse_class_headers(source, "f.chd")
+    except ParseError:
+        return
+    assert isinstance(decls, list) and decls
+
+
+def test_extraction_throughput_bound():
+    """Tokenize and parse the golden corpus copied 200 times (4,400 files);
+    a regression guard with headroom for slow machines."""
+    sources = [p.read_text() for p in sorted(CORPUS_DIR.glob("*.chd"))] * 200
+    start = time.perf_counter()
+    for source in sources:
+        tokenize(source)
+        parse_class_headers(source)
+    assert time.perf_counter() - start < 2.5

@@ -63,6 +63,23 @@ class TestResolve:
         _, deps = resolve_dependencies(decls)
         assert deps == [("p.Foo", "p.Baz", F)]
 
+    def test_same_package_candidates_prefer_longest_shared_prefix(self):
+        decls = decls_of(
+            "package p; class A { Inner f; class Inner {} }",
+            "package p; class B { class Inner {} }",
+        )
+        _, deps = resolve_dependencies(decls)
+        assert deps == [("p.A", "p.A.Inner", F)]
+
+    def test_same_package_candidates_tied_are_ambiguous(self):
+        decls = decls_of(
+            "package p; class A { class Inner {} }",
+            "package p; class B { class Inner {} }",
+            "package p; class C { Inner f; }",
+        )
+        with pytest.raises(ResolveError, match="ambiguous reference 'Inner'"):
+            resolve_dependencies(decls)
+
     def test_ambiguous_import_rejected(self):
         decls = decls_of(
             "package p; import a.Baz; import b.Baz; class Foo { Baz f; }")
