@@ -63,11 +63,11 @@ def community_network(
     for part in (partition, packages):
         if not part.covers(graph):
             raise GraphError("partition does not cover the graph's node set")
-    node_label = {u: str(partition.label_of(u)) for u in range(graph.n_nodes)}
-    sizes: Counter = Counter(node_label.values())
+    node_label = [str(label) for label in partition.labels]
+    sizes: Counter = Counter(node_label)
     pkg_dist: dict[str, Counter] = {lbl: Counter() for lbl in sizes}
-    for u in range(graph.n_nodes):
-        pkg_dist[node_label[u]][str(packages.label_of(u))] += 1
+    for label, package in zip(node_label, packages.labels):
+        pkg_dist[label][str(package)] += 1
     self_weight: Counter = Counter()
     cross: Counter = Counter()
     for u, v, _ in graph.edges:

@@ -20,7 +20,8 @@ from .graph import build_graph, remove_isolated
 from .ingest import (ResolveOptions, load_edge_list, load_partition,
                      package_partition, parse_corpus, write_edge_list,
                      write_partition)
-from .metrics import modularity, nmi, run_batch, split_disconnected
+from .metrics import (modularity, nmi, package_analysis, run_batch,
+                      size_distribution)
 
 DEFAULT_RUNS = 100
 DEFAULT_EB_RUNS = 10
@@ -120,11 +121,8 @@ def cmd_metrics(network, partitions, xmin, package_depth, out):
     Each partition is named by its file basename; names must be distinct
     and must not be 'P' or 'P+'.
     """
-    from .metrics import size_distribution
-
     graph = _load_graph(network)
-    packages = package_partition(graph, package_depth)
-    packages_plus = split_disconnected(graph, packages)
+    packages, packages_plus, disconnected = package_analysis(graph, package_depth)
     named = {"P": packages, "P+": packages_plus}
     for path in partitions:
         name = Path(path).name
@@ -148,10 +146,7 @@ def cmd_metrics(network, partitions, xmin, package_depth, out):
             name: size_distribution(part, xmin).to_dict()
             for name, part in named.items()
         },
-        "disconnected_packages": sorted(
-            str(lbl) for lbl in packages.label_set()
-            if str(lbl) not in {str(l) for l in packages_plus.label_set()}
-        ),
+        "disconnected_packages": disconnected,
     }
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
@@ -165,8 +160,7 @@ def cmd_metrics(network, partitions, xmin, package_depth, out):
 def cmd_refine(network, seed, package_depth, out):
     """Refine the package partition by constrained label propagation."""
     graph = _load_graph(network)
-    packages = package_partition(graph, package_depth)
-    packages_plus = split_disconnected(graph, packages)
+    packages, packages_plus, _ = package_analysis(graph, package_depth)
     refined = refine_packages(graph, packages_plus, seed)
     if out:
         with open(out, "w", encoding="utf-8") as stream:

@@ -19,8 +19,7 @@ from typing import Hashable, Iterable
 
 from .errors import GraphError, SizeCapError
 from .graph import (ClassGraph, Partition, WeightedGraph, collapse_to_weighted,
-                    component_labels)
-from .metrics import modularity_numerator
+                    component_labels, modularity_numerator)
 
 EB_DEFAULT_EDGE_CAP = 5000
 LP_DEFAULT_SWEEP_CAP = 1000
@@ -172,7 +171,6 @@ def detect_eb(
             scores.update(_edge_betweenness(
                 adj, sorted(x for x, c in reach.items() if c == side)))
         if reach[v]:
-            # A full pass, as the label order sets the float sums of `nmi`.
             partition = Partition(component_labels(adj, range(n)))
             n_components += 1
             num = modularity_numerator(graph, partition)
@@ -282,13 +280,13 @@ def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
         comm[d] = c
     for node in range(n):
         comm[node] = comm[comm[node]]
-    partition = Partition(dict(enumerate(comm))).relabel_dense()
+    partition = Partition.from_labels(comm).relabel_dense()
     return partition, Dendrogram(levels, best_index)
 
 
 def _lp_sweeps(
     graph: ClassGraph,
-    labels: dict[int, Hashable],
+    labels: list[Hashable],
     rng: random.Random,
     max_sweeps: int,
 ) -> None:
@@ -336,9 +334,9 @@ def detect_lp(
     if graph.n_nodes == 0:
         raise GraphError("empty graph")
     rng = random.Random(seed)
-    labels: dict[int, Hashable] = {u: u for u in range(graph.n_nodes)}
+    labels: list[Hashable] = list(range(graph.n_nodes))
     _lp_sweeps(graph, labels, rng, max_sweeps)
-    return Partition(labels).relabel_dense()
+    return Partition.from_labels(labels).relabel_dense()
 
 
 def refine_packages(
@@ -355,8 +353,8 @@ def refine_packages(
     if not initial.covers(graph):
         raise GraphError("initial partition does not cover the graph")
     rng = random.Random(seed)
-    labels = dict(initial.labels)
+    labels = list(initial.labels)
     _lp_sweeps(graph, labels, rng, max_sweeps)
-    result = Partition(labels)
+    result = Partition.from_labels(labels)
     assert result.label_set() <= initial.label_set()
     return result

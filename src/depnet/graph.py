@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from enum import Enum
-from typing import Hashable, Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Hashable, Iterable, KeysView, Mapping, Sequence
 
 from .errors import GraphError
 
@@ -21,66 +22,72 @@ class DependencyKind(Enum):
     PARAMETER = "parameter"
     RETURN = "return"
 
-    @classmethod
-    def from_token(cls, token: str) -> "DependencyKind":
-        try:
-            return cls(token)
-        except ValueError:
-            raise GraphError(f"unknown dependency kind {token!r}") from None
-
 
 class Partition:
-    """Total assignment of node ids to labels; blocks are derived lazily."""
+    """Total assignment of node ids 0..n-1 to labels, stored as one tuple
+    indexed by node id; blocks are derived lazily and cached."""
 
     def __init__(self, labels: Mapping[int, Label]):
-        self._labels = dict(labels)
-        self._blocks: dict[Label, frozenset[int]] | None = None
+        n = len(labels)
+        if not all(node in labels for node in range(n)):
+            raise GraphError("partition keys must be exactly the node ids 0..n-1")
+        self._labels = tuple(labels[node] for node in range(n))
+        self._blocks: Mapping[Label, frozenset[int]] | None = None
+
+    @classmethod
+    def from_labels(cls, labels: Iterable[Label]) -> "Partition":
+        """Partition whose i-th label is the label of node i."""
+        partition = cls.__new__(cls)
+        partition._labels = tuple(labels)
+        partition._blocks = None
+        return partition
 
     @property
-    def labels(self) -> dict[int, Label]:
-        return dict(self._labels)
+    def labels(self) -> tuple[Label, ...]:
+        return self._labels
 
     def label_of(self, node: int) -> Label:
         return self._labels[node]
 
     @property
-    def blocks(self) -> dict[Label, frozenset[int]]:
+    def blocks(self) -> Mapping[Label, frozenset[int]]:
+        """Read-only label -> member nodes, labels in order of their
+        smallest node."""
         if self._blocks is None:
-            acc: dict[Label, set[int]] = {}
-            for node, label in self._labels.items():
-                acc.setdefault(label, set()).add(node)
-            self._blocks = {lbl: frozenset(nodes) for lbl, nodes in acc.items()}
-        return dict(self._blocks)
+            acc: dict[Label, list[int]] = {}
+            for node, label in enumerate(self._labels):
+                acc.setdefault(label, []).append(node)
+            self._blocks = MappingProxyType(
+                {lbl: frozenset(nodes) for lbl, nodes in acc.items()})
+        return self._blocks
 
     @property
     def n_blocks(self) -> int:
-        return len(set(self._labels.values()))
+        return len(self.blocks)
 
     @property
-    def nodes(self) -> frozenset[int]:
-        return frozenset(self._labels)
+    def nodes(self) -> range:
+        return range(len(self._labels))
 
-    def label_set(self) -> set[Label]:
-        return set(self._labels.values())
+    def label_set(self) -> KeysView[Label]:
+        return self.blocks.keys()
 
     def block_sizes(self) -> list[int]:
-        return sorted(Counter(self._labels.values()).values())
+        return sorted(Counter(self._labels).values())
 
     def relabel_dense(self) -> "Partition":
         """Map labels to 0..k-1 in order of each block's smallest node id."""
-        first_node: dict[Label, int] = {}
-        for node in sorted(self._labels):
-            first_node.setdefault(self._labels[node], node)
-        order = sorted(first_node, key=first_node.get)
-        remap = {lbl: i for i, lbl in enumerate(order)}
-        return Partition({node: remap[lbl] for node, lbl in self._labels.items()})
+        remap: dict[Label, int] = {}
+        for label in self._labels:
+            remap.setdefault(label, len(remap))
+        return Partition.from_labels(remap[label] for label in self._labels)
 
     def covers(self, graph: "ClassGraph") -> bool:
-        return self.nodes == frozenset(range(graph.n_nodes))
+        return len(self._labels) == graph.n_nodes
 
     def same_blocks(self, other: "Partition") -> bool:
         """True when both partitions induce the same grouping, labels aside."""
-        return set(self.blocks.values()) == set(other.blocks.values())
+        return self.relabel_dense() == other.relabel_dense()
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -89,10 +96,29 @@ class Partition:
         return isinstance(other, Partition) and self._labels == other._labels
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._labels.items()))
+        return hash(self._labels)
 
     def __repr__(self) -> str:
         return f"Partition({self.n_blocks} blocks, {len(self)} nodes)"
+
+
+def modularity_numerator(graph: "ClassGraph", partition: Partition) -> int:
+    """Exact integer numerator of Q over the denominator 4*m^2.
+
+    Q = sum_c (l_c/m - (d_c/2m)^2) = [sum_c (4*m*l_c - d_c^2)] / (4*m^2),
+    where l_c counts intra-community edges (with multiplicity) and d_c sums
+    member degrees. Exact integers make tie handling in the detectors stable.
+    """
+    labels = partition.labels
+    m = graph.m
+    intra: Counter = Counter()
+    deg_sum: Counter = Counter()
+    for label, k in zip(labels, graph.degree):
+        deg_sum[label] += k
+    for u, v, _ in graph.edges:
+        if labels[u] == labels[v]:
+            intra[labels[u]] += 1
+    return sum(4 * m * intra[c] - deg_sum[c] ** 2 for c in deg_sum)
 
 
 class ClassGraph:

@@ -196,10 +196,7 @@ def package_of(fqn: str, depth: int | None = None) -> str:
 
 def package_partition(graph: ClassGraph, depth: int | None = None) -> Partition:
     """Group nodes by their (optionally depth-truncated) package."""
-    return Partition({
-        node: package_of(graph.fqn_of(node), depth)
-        for node in range(graph.n_nodes)
-    })
+    return Partition.from_labels(package_of(fqn, depth) for fqn in graph.fqns)
 
 
 def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
@@ -207,7 +204,7 @@ def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
 
     Every fqn must be a node of the graph and appear on exactly one line.
     """
-    labels: dict[int, str] = {}
+    labels: list[str | None] = [None] * graph.n_nodes
     first_line: dict[int, int] = {}
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
@@ -230,18 +227,14 @@ def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
             )
         first_line[node] = lineno
         labels[node] = label
-    if len(labels) != graph.n_nodes:
+    if len(first_line) != graph.n_nodes:
         raise FormatError(
-            f"partition covers {len(labels)} of {graph.n_nodes} nodes"
+            f"partition covers {len(first_line)} of {graph.n_nodes} nodes"
         )
-    return Partition(labels)
+    return Partition.from_labels(labels)
 
 
 def write_partition(partition: Partition, graph: ClassGraph, stream: IO[str]) -> None:
     """Write a partition TSV sorted by fqn."""
-    rows = sorted(
-        (graph.fqn_of(node), str(label))
-        for node, label in partition.labels.items()
-    )
-    for fqn, label in rows:
+    for fqn, label in sorted(zip(graph.fqns, map(str, partition.labels))):
         stream.write(f"{fqn}\t{label}\n")

@@ -7,8 +7,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import detect
 from .errors import GraphError
-from .graph import ClassGraph, Label, Partition, component_labels
+from .graph import (ClassGraph, Partition, component_labels,
+                    modularity_numerator)
+from .ingest import package_partition
 
 SIGNIFICANT_Q = 0.30  # conventional threshold for meaningful community structure
 
@@ -16,25 +19,6 @@ SIGNIFICANT_Q = 0.30  # conventional threshold for meaningful community structur
 def _check_cover(graph: ClassGraph, partition: Partition) -> None:
     if not partition.covers(graph):
         raise GraphError("partition does not cover the graph's node set")
-
-
-def modularity_numerator(graph: ClassGraph, partition: Partition) -> int:
-    """Exact integer numerator of Q over the denominator 4*m^2.
-
-    Q = sum_c (l_c/m - (d_c/2m)^2) = [sum_c (4*m*l_c - d_c^2)] / (4*m^2),
-    where l_c counts intra-community edges (with multiplicity) and d_c sums
-    member degrees. Exact integers make tie handling in the detectors stable.
-    """
-    labels = partition.labels
-    m = graph.m
-    intra: Counter = Counter()
-    deg_sum: Counter = Counter()
-    for node, k in enumerate(graph.degree):
-        deg_sum[labels[node]] += k
-    for u, v, _ in graph.edges:
-        if labels[u] == labels[v]:
-            intra[labels[u]] += 1
-    return sum(4 * m * intra[c] - deg_sum[c] ** 2 for c in deg_sum)
 
 
 def modularity(graph: ClassGraph, partition: Partition) -> float:
@@ -53,17 +37,17 @@ def nmi(a: Partition, b: Partition) -> float:
     """Normalized mutual information 2*I/(H(a)+H(b)) of two partitions.
 
     Natural-log entropies; the ratio is base-invariant. Two trivial
-    single-block partitions compare as identical (NMI = 1).
+    single-block partitions compare as identical (NMI = 1). Terms are summed
+    in node order, so equal partitions give bit-identical values.
     """
-    if a.nodes != b.nodes:
+    if len(a) != len(b):
         raise GraphError("partitions cover different node sets")
     n = len(a)
     if n == 0:
         raise GraphError("empty partitions")
-    a_labels, b_labels = a.labels, b.labels
-    count_a: Counter = Counter(a_labels.values())
-    count_b: Counter = Counter(b_labels.values())
-    joint: Counter = Counter((a_labels[i], b_labels[i]) for i in a.nodes)
+    count_a: Counter = Counter(a.labels)
+    count_b: Counter = Counter(b.labels)
+    joint: Counter = Counter(zip(a.labels, b.labels))
 
     def entropy(counts: Counter) -> float:
         return -sum((c / n) * math.log(c / n) for c in counts.values())
@@ -82,25 +66,33 @@ def split_disconnected(graph: ClassGraph, partition: Partition) -> Partition:
     """Replace each block by the connected components of its induced subgraph.
 
     Components of a split block inherit the parent label with a numeric
-    suffix; connected blocks keep their label. Idempotent.
+    suffix, numbered by smallest node; connected blocks keep their label.
+    Idempotent.
     """
     _check_cover(graph, partition)
-    labels: dict[int, Label] = {}
-    for label, block in sorted(partition.blocks.items(), key=lambda kv: min(kv[1])):
+    labels = list(partition.labels)
+    for label, block in partition.blocks.items():
         inner = {u: [v for v in graph.neighbors(u) if v in block] for u in block}
         parts = component_labels(inner, sorted(block))
-        # Sets filled in BFS order, as label order sets nmi's float sums.
-        components: list[set[int]] = [set() for _ in range(max(parts.values()) + 1)]
-        for node, idx in parts.items():
-            components[idx].add(node)
-        if len(components) == 1:
-            for node in block:
-                labels[node] = label
-        else:
-            for idx, component in enumerate(components, start=1):
-                for node in component:
-                    labels[node] = f"{label}#{idx}"
-    return Partition(labels)
+        if max(parts.values()):
+            for node, idx in parts.items():
+                labels[node] = f"{label}#{idx + 1}"
+    return Partition.from_labels(labels)
+
+
+def package_analysis(
+    graph: ClassGraph,
+    depth: int | None = None,
+) -> tuple[Partition, Partition, list[str]]:
+    """The package partition P, its split P+ (see `split_disconnected`) and
+    the sorted labels of the packages that P+ splits."""
+    packages = package_partition(graph, depth)
+    packages_plus = split_disconnected(graph, packages)
+    kept = {str(label) for label in packages_plus.label_set()}
+    disconnected = sorted(
+        str(label) for label in packages.label_set() if str(label) not in kept
+    )
+    return packages, packages_plus, disconnected
 
 
 @dataclass
@@ -242,8 +234,6 @@ def run_batch(
     Returns the stats plus the best-Q run's partition. EB is deterministic
     and executes exactly once regardless of `runs`.
     """
-    from . import detect  # local import to avoid a module cycle
-
     if runs < 1:
         raise GraphError("runs must be >= 1")
     stats = BatchStats(algorithm=algorithm)

@@ -8,20 +8,12 @@ content digest instead of wall-clock provenance.
 from __future__ import annotations
 
 import datetime
-import hashlib
 import json
 import os
 
 from .errors import SizeCapError
-from .graph import ClassGraph, Partition
-from .ingest import package_partition
-from .metrics import (
-    modularity,
-    nmi,
-    run_batch,
-    size_distribution,
-    split_disconnected,
-)
+from .graph import ClassGraph
+from .metrics import modularity, package_analysis, run_batch, size_distribution
 
 _DISTRIBUTION_SCHEMA = {
     "type": "object",
@@ -117,19 +109,16 @@ def build_report(
     seed: int = 42,
     xmin: int = 1,
     package_depth: int | None = None,
-    algorithms: tuple[str, ...] = ("eb", "mo", "lp"),
 ) -> dict:
     """Run the full analysis (package metrics + all detectors) into one dict."""
-    packages = package_partition(graph, package_depth)
-    packages_plus = split_disconnected(graph, packages)
-    disconnected = sorted(
-        str(lbl) for lbl in packages.label_set()
-        if str(lbl) not in {str(l) for l in packages_plus.label_set()}
-    )
+    # Imported here: OpenSSL's _hashlib is slow to load and only this uses it.
+    import hashlib
+
+    packages, packages_plus, disconnected = package_analysis(graph, package_depth)
 
     algo_section: dict[str, dict] = {}
     distributions = {"packages": size_distribution(packages, xmin).to_dict()}
-    for algo in algorithms:
+    for algo in ("eb", "mo", "lp"):
         algo_runs = eb_runs if algo == "eb" else runs
         try:
             stats, best = run_batch(graph, algo, algo_runs, seed, packages)

@@ -64,6 +64,29 @@ def test_remove_isolated_all_isolated():
     assert remove_isolated(g).n_nodes == 0
 
 
+def test_partition_keys_must_be_node_ids():
+    for labels in ({1: "a"}, {0: "a", 2: "b"}, {"x": 0}):
+        with pytest.raises(GraphError):
+            Partition(labels)
+
+
+def test_partition_views_share_storage():
+    part = Partition({1: "b", 0: "a", 2: "a"})
+    assert part.labels == ("a", "b", "a")
+    assert part.labels is part.labels
+    assert part.blocks is part.blocks
+    assert part.blocks == {"a": frozenset({0, 2}), "b": frozenset({1})}
+    with pytest.raises(TypeError):
+        part.blocks["c"] = frozenset()
+    assert part.nodes == range(3)
+    assert part.n_blocks == 2
+    assert part.label_set() == {"a", "b"}
+    assert part.relabel_dense() == Partition.from_labels([0, 1, 0])
+    assert part == Partition.from_labels(["a", "b", "a"])
+    assert part.same_blocks(Partition.from_labels([5, 3, 5]))
+    assert not part.same_blocks(Partition.from_labels([5, 5, 3]))
+
+
 def test_connected_components_path():
     g = graph_from_pairs([(0, 1), (1, 2)])
     assert connected_components(g).n_blocks == 1

@@ -4,10 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depnet import (GraphError, Partition, build_graph, connected_components,
+from depnet import (GraphError, Partition, build_graph, collapse_to_weighted,
+                    connected_components, detect_lp, detect_mo,
                     fit_power_law, induced_subgraph, modularity, nmi,
                     run_batch, size_distribution, split_disconnected)
 from depnet.graph import DependencyKind
+from depnet.metrics import package_analysis
 
 from conftest import graph_from_pairs
 from oracles import (modularity_ordered_pairs, nmi_direct, random_multigraph,
@@ -42,7 +44,7 @@ class TestModularity:
 
     def test_relabeling_invariant(self, two_triangles, triangle_partition):
         renamed = Partition({u: f"blk{lbl}" for u, lbl
-                             in triangle_partition.labels.items()})
+                             in enumerate(triangle_partition.labels)})
         assert modularity(two_triangles, renamed) == \
             modularity(two_triangles, triangle_partition)
 
@@ -88,6 +90,22 @@ class TestNMI:
     def test_mismatched_nodes_rejected(self):
         with pytest.raises(GraphError):
             nmi(Partition({0: 0}), Partition({1: 0}))
+        with pytest.raises(GraphError):
+            nmi(Partition({0: 0}), Partition({0: 0, 1: 0}))
+
+    def test_equal_partitions_give_identical_nmi(self):
+        # Equal partitions built from dicts in different insertion orders:
+        # nmi's float sums must not depend on how a partition was built.
+        labels = {0: 1, 1: 0, 2: 0, 3: 1, 4: 2, 5: 2, 6: 2, 7: 0, 8: 3, 9: 2,
+                  10: 2, 11: 3, 12: 3}
+        order = [11, 8, 10, 6, 4, 0, 3, 5, 12, 1, 9, 7, 2]
+        a = Partition(labels)
+        b = Partition({node: labels[node] for node in order})
+        ref = Partition({0: 1, 1: 0, 2: 0, 3: 2, 4: 0, 5: 0, 6: 1, 7: 2, 8: 1,
+                         9: 0, 10: 0, 11: 1, 12: 1})
+        assert a == b
+        assert nmi(a, ref) == nmi(b, ref)
+        assert nmi(ref, a) == nmi(ref, b)
 
 
 class TestSplitDisconnected:
@@ -119,14 +137,64 @@ class TestSplitDisconnected:
                 assert connected_components(sub).n_blocks == 1
 
     def test_label_order_matches_reference(self):
-        # nmi sums floats in label order, so the order is part of the result.
         rng = random.Random(31)
         for _ in range(200):
             g = random_sparse_multigraph(rng, rng.randint(2, 300),
                                          rng.choice([0.5, 1.0, 2.0]))
             part = random_partition(rng, g.n_nodes)
-            assert (list(split_disconnected(g, part).labels.items())
-                    == list(split_disconnected_reference(g, part).labels.items()))
+            assert (split_disconnected(g, part).labels
+                    == split_disconnected_reference(g, part).labels)
+
+
+class TestPackageAnalysis:
+    def test_split_packages_listed(self):
+        F = DependencyKind.FIELD
+        g = build_graph(["a.A", "a.B", "a.C", "b.D", "b.E"],
+                        [("a.A", "a.B", F), ("b.D", "b.E", F), ("a.C", "b.D", F)])
+        packages, packages_plus, disconnected = package_analysis(g)
+        assert packages.labels == ("a", "a", "a", "b", "b")
+        assert packages_plus.labels == ("a#1", "a#1", "a#2", "b", "b")
+        assert disconnected == ["a"]
+
+
+class TestAgainstNetworkx:
+    """Q and components against networkx, on the weighted simple graph whose
+    weights are the edge multiplicities."""
+
+    @staticmethod
+    def simple_graph(nx, g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n_nodes))
+        for (u, v), w in collapse_to_weighted(g).weights.items():
+            h.add_edge(u, v, weight=w)
+        return h
+
+    def test_modularity(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(43)
+        for n in (12, 60, 300, 2000):
+            g = random_sparse_multigraph(rng, n, rng.choice([0.7, 1.5, 4.0]))
+            h = self.simple_graph(nx, g)
+            packages = Partition({u: u * 7 // n for u in range(n)})
+            partitions = [
+                random_partition(rng, n),
+                detect_mo(g, rng.randrange(1 << 32))[0],
+                detect_lp(g, rng.randrange(1 << 32)),
+                split_disconnected(g, packages),
+            ]
+            for part in partitions:
+                expected = nx.community.modularity(h, part.blocks.values(),
+                                                   weight="weight")
+                assert modularity(g, part) == pytest.approx(expected, rel=1e-9)
+
+    def test_connected_components(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(47)
+        for n in (12, 60, 300, 2000):
+            g = random_sparse_multigraph(rng, n, rng.choice([0.3, 0.5, 1.0]))
+            expected = {frozenset(c) for c in
+                        nx.connected_components(self.simple_graph(nx, g))}
+            assert set(connected_components(g).blocks.values()) == expected
 
 
 class TestSizeDistribution:
