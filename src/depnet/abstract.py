@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import FormatError, GraphError
-from .graph import ClassGraph, Partition
+from .graph import ClassGraph, Partition, component_labels
 
 EXPORT_FORMATS = ("dot", "graphml", "json")
 WEAK_PACKAGE_SHARE = 0.05  # display-only threshold for "weakly represented"
@@ -40,10 +40,6 @@ class CommunityEdge:
 class CommunityGraph:
     communities: tuple[Community, ...]  # sorted by label
     edges: tuple[CommunityEdge, ...]    # sorted by (a, b), a < b
-
-    @property
-    def total_size(self) -> int:
-        return sum(c.size for c in self.communities)
 
     def labels(self) -> list[str]:
         return [c.label for c in self.communities]
@@ -94,31 +90,22 @@ def community_network(
 
 
 def largest_components_filter(cgraph: CommunityGraph, k: int) -> CommunityGraph:
-    """Keep the k largest connected components by total class count."""
+    """Keep the k largest connected components by total class count; equal
+    totals rank by smallest community label."""
     if k < 1:
         raise GraphError("k must be >= 1")
-    parent = {c.label: c.label for c in cgraph.communities}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    adj: dict[str, list[str]] = {c.label: [] for c in cgraph.communities}
     for edge in cgraph.edges:
-        ra, rb = find(edge.a), find(edge.b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[str, list[Community]] = {}
+        adj[edge.a].append(edge.b)
+        adj[edge.b].append(edge.a)
+    # Starting from sorted labels numbers components by their smallest label.
+    comp = component_labels(adj, sorted(adj))
+    totals: Counter = Counter()
     for community in cgraph.communities:
-        groups.setdefault(find(community.label), []).append(community)
-    ranked = sorted(
-        groups.values(),
-        key=lambda cs: (-sum(c.size for c in cs), min(c.label for c in cs)),
-    )
-    keep = {c.label for group in ranked[:k] for c in group}
-    communities = tuple(c for c in cgraph.communities if c.label in keep)
-    edges = tuple(e for e in cgraph.edges if e.a in keep and e.b in keep)
+        totals[comp[community.label]] += community.size
+    keep = set(sorted(totals, key=lambda i: (-totals[i], i))[:k])
+    communities = tuple(c for c in cgraph.communities if comp[c.label] in keep)
+    edges = tuple(e for e in cgraph.edges if comp[e.a] in keep)
     return CommunityGraph(communities, edges)
 
 

@@ -16,7 +16,7 @@ from .abstract import (EXPORT_FORMATS, community_network, export,
                        largest_components_filter)
 from .detect import refine_packages
 from .errors import DepnetError
-from .graph import build_graph, remove_isolated
+from .graph import ClassGraph, build_graph, remove_isolated
 from .ingest import (ResolveOptions, load_edge_list, load_partition,
                      package_partition, parse_corpus, write_edge_list,
                      write_partition)
@@ -53,9 +53,15 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _resolve_opts(keep_external: bool, type_args: bool) -> ResolveOptions:
-    return ResolveOptions(keep_external=keep_external,
+def _extract_graph(inputs: tuple[str, ...], keep_external: bool,
+                   type_args: bool) -> tuple[ClassGraph, list[tuple[str, str]]]:
+    """The dependency graph of the .chd sources, without isolated nodes,
+    and the (path, text) sources it was built from."""
+    sources = _collect_sources(inputs)
+    opts = ResolveOptions(keep_external=keep_external,
                           include_type_arguments=type_args)
+    fqns, deps = parse_corpus(sources, opts)
+    return remove_isolated(build_graph(fqns, deps)), sources
 
 
 @click.group()
@@ -74,24 +80,23 @@ def cli() -> None:
               help="Truncate packages to this many segments when counting |P|.")
 def cmd_extract(inputs, out, keep_external, type_args, package_depth):
     """Parse .chd header sources into an edge TSV network file."""
-    sources = _collect_sources(inputs)
-    fqns, deps = parse_corpus(sources, _resolve_opts(keep_external, type_args))
-    graph = remove_isolated(build_graph(fqns, deps))
+    graph, _ = _extract_graph(inputs, keep_external, type_args)
+    packages = package_partition(graph, package_depth)
     if graph.n_nodes == 0:
         click.echo("warning: all nodes isolated; wrote an empty edge file",
                    err=True)
     with open(out, "w", encoding="utf-8") as stream:
-        write_edge_list(graph, stream, isolated="drop")
-    packages = package_partition(graph, package_depth) if graph.n_nodes else None
+        write_edge_list(graph, stream)
     click.echo(f"nodes={graph.n_nodes} edges={graph.m} "
-               f"packages={packages.n_blocks if packages else 0}")
+               f"packages={packages.n_blocks}")
 
 
 @cli.command("detect")
 @click.argument("network")
 @click.option("--algo", type=click.Choice(["eb", "mo", "lp"]), required=True)
-@click.option("--runs", type=int, default=None,
-              help=f"Seeded runs (default {DEFAULT_RUNS}; {DEFAULT_EB_RUNS} for eb).")
+@click.option("--runs", type=int, default=DEFAULT_RUNS, show_default=True,
+              help="Seeded runs. EB is deterministic and runs once, so for "
+                   "eb this must only be >= 1.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, envvar="DEPNET_SEED",
               show_default=True)
 @click.option("--package-depth", type=int, default=None)
@@ -99,8 +104,6 @@ def cmd_extract(inputs, out, keep_external, type_args, package_depth):
 def cmd_detect(network, algo, runs, seed, package_depth, out):
     """Run one detection algorithm; write the best-Q partition and stats."""
     graph = _load_graph(network)
-    if runs is None:
-        runs = DEFAULT_EB_RUNS if algo == "eb" else DEFAULT_RUNS
     reference = package_partition(graph, package_depth)
     stats, best = run_batch(graph, algo, runs, seed, reference)
     if out:
@@ -199,7 +202,9 @@ def cmd_abstract(network, partition, fmt, components, package_depth, out):
 @cli.command("report")
 @click.argument("source")
 @click.option("--runs", type=int, default=DEFAULT_RUNS, show_default=True)
-@click.option("--eb-runs", type=int, default=DEFAULT_EB_RUNS, show_default=True)
+@click.option("--eb-runs", type=int, default=DEFAULT_EB_RUNS, show_default=True,
+              help="Recorded in the report's config. EB is deterministic and "
+                   "runs once, so this must only be >= 1.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, envvar="DEPNET_SEED",
               show_default=True)
 @click.option("--xmin", type=int, default=1, show_default=True)
@@ -215,10 +220,7 @@ def cmd_report(source, runs, eb_runs, seed, xmin, package_depth,
     """
     path = Path(source)
     if path.is_dir():
-        sources = _collect_sources((source,))
-        fqns, deps = parse_corpus(sources,
-                                  _resolve_opts(keep_external, type_args))
-        graph = remove_isolated(build_graph(fqns, deps))
+        graph, sources = _extract_graph((source,), keep_external, type_args)
         input_bytes = b"".join(text.encode() for _, text in sources)
     else:
         input_bytes = path.read_bytes()
@@ -233,10 +235,7 @@ def cmd_report(source, runs, eb_runs, seed, xmin, package_depth,
         "keep_external": keep_external,
         "type_args": type_args,
     }
-    doc = report_mod.build_report(
-        graph, config, input_bytes, runs=runs, eb_runs=eb_runs, seed=seed,
-        xmin=xmin, package_depth=package_depth,
-    )
+    doc = report_mod.build_report(graph, config, input_bytes)
     _emit(report_mod.dump_report(doc), out)
 
 

@@ -228,12 +228,11 @@ def build_graph(
     """Build a multigraph from fqn-keyed dependency tuples.
 
     Parallel edges are kept; self-referential dependencies are silently dropped.
+    ClassGraph rejects duplicate fqns.
     """
     fqns = tuple(class_fqns)
     if not fqns:
         raise GraphError("empty class list")
-    if len(set(fqns)) != len(fqns):
-        raise GraphError("duplicate class fqns")
     index = {fqn: i for i, fqn in enumerate(fqns)}
     edges = []
     for src, dst, kind in dependencies:
@@ -251,10 +250,7 @@ def remove_isolated(graph: ClassGraph) -> ClassGraph:
     keep = [i for i in range(graph.n_nodes) if graph.degree[i] >= 1]
     if len(keep) == graph.n_nodes:
         return graph
-    remap = {old: new for new, old in enumerate(keep)}
-    fqns = [graph.fqn_of(i) for i in keep]
-    edges = [(remap[u], remap[v], k) for u, v, k in graph.edges]
-    return ClassGraph(fqns, edges)
+    return induced_subgraph(graph, keep)
 
 
 def component_labels(

@@ -29,16 +29,18 @@ KEYWORDS = frozenset({"package", "import", "class", "interface",
 # end of input or a lexical error. On str, [\w$] is exactly
 # `ch.isalnum() or ch in "_$"`. Literals are escape-aware, so a backslash
 # can never step past the end of the input.
+_LITERAL = r"""( "[^"\\]*(?:\\.[^"\\]*)*" | '[^'\\]*(?:\\.[^'\\]*)*' )"""
 _TOKEN = re.compile(r"""
     (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
     (?: ([\w$]+)                                 # 1: word
       | (\.\.\. | [{}()<>\[\];,.=?&])           # 2: punctuation
-      | ( "[^"\\]*(?:\\.[^"\\]*)*"               # 3: string or char literal
-        | '[^'\\]*(?:\\.[^'\\]*)*' )
+      | """ + _LITERAL + r"""                  # 3: string or char literal
       | (@)                                      # 4: annotation
     )?""", re.VERBOSE | re.DOTALL)
 _DOTTED = re.compile(r"[\w$.]*")  # a numeric literal or an annotation name
-_PARENS = re.compile(r"[()]")
+# In annotation arguments: a parenthesis, or a literal (group 1) taken whole
+# so that the parentheses inside it are not counted.
+_ANNOTATION_ATOM = re.compile(r"[()] | " + _LITERAL, re.VERBOSE | re.DOTALL)
 
 
 class Token(NamedTuple):
@@ -102,8 +104,10 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
     ``_`` or ``$`` is an identifier, and dropped if it is a modifier; one that
     starts with a digit is re-read as a numeric literal ``[\\w$.]+``; any
     other start is an unexpected character. An annotation is ``@`` and a name,
-    then an optional ``(...)`` right after it whose parentheses are counted
-    over raw characters; it yields no token.
+    then an optional ``(...)`` right after it; it yields no token. Inside
+    the parentheses, string and char literals are skipped whole and every
+    other character is skipped raw, so only parentheses outside literals
+    count. A quote that starts no complete literal is a raw character.
 
     Each token holds the offset of its first character; ``position`` turns an
     offset into a line and column, which only errors and ``ClassDecl.line``
@@ -156,13 +160,15 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
                 raise err("expected annotation name after '@'", i)
             if source.startswith("(", end):
                 depth = 0
-                for paren in _PARENS.finditer(source, end):
-                    depth += 1 if paren.group() == "(" else -1
+                for atom in _ANNOTATION_ATOM.finditer(source, end):
+                    if atom.lastindex:
+                        continue  # a literal
+                    depth += 1 if atom.group() == "(" else -1
                     if depth == 0:
                         break
                 else:
                     raise err("unterminated annotation", end)
-                end = paren.end()
+                end = atom.end()
             i = end
     append(Token("eof", "", n))
     return tokens

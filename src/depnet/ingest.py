@@ -172,11 +172,10 @@ def load_edge_list(stream: IO[str]) -> ClassGraph:
     return graph
 
 
-def write_edge_list(graph: ClassGraph, stream: IO[str], isolated: str = "drop") -> None:
-    """Write the edge TSV format; lines sorted for byte-stable output."""
-    if isolated not in ("keep", "drop"):
-        raise FormatError(f"bad isolated flag {isolated!r}")
-    stream.write(f"{EDGE_HEADER_PREFIX}{isolated}\n")
+def write_edge_list(graph: ClassGraph, stream: IO[str]) -> None:
+    """Write the edge TSV format with isolated=drop, the only flag a file of
+    edges can honour; lines sorted for byte-stable output."""
+    stream.write(f"{EDGE_HEADER_PREFIX}drop\n")
     lines = []
     for u, v, kind in graph.edges:
         a, b = sorted((graph.fqn_of(u), graph.fqn_of(v)))
@@ -184,8 +183,17 @@ def write_edge_list(graph: ClassGraph, stream: IO[str], isolated: str = "drop") 
     stream.writelines(sorted(lines))
 
 
+def _check_depth(depth: int | None) -> None:
+    if depth is not None and depth < 1:
+        raise GraphError(f"package depth must be >= 1, got {depth}")
+
+
 def package_of(fqn: str, depth: int | None = None) -> str:
-    """Package label of an fqn; '(default)' when the fqn has no package."""
+    """Package label of an fqn; '(default)' when the fqn has no package.
+
+    A depth keeps only the package's first `depth` segments.
+    """
+    _check_depth(depth)
     if "." not in fqn:
         return "(default)"
     package = fqn.rsplit(".", 1)[0]
@@ -196,6 +204,7 @@ def package_of(fqn: str, depth: int | None = None) -> str:
 
 def package_partition(graph: ClassGraph, depth: int | None = None) -> Partition:
     """Group nodes by their (optionally depth-truncated) package."""
+    _check_depth(depth)
     return Partition.from_labels(package_of(fqn, depth) for fqn in graph.fqns)
 
 

@@ -114,7 +114,8 @@ class SizeDistribution:
 
 
 def size_distribution(partition: Partition, xmin: int = 1) -> SizeDistribution:
-    """Sizes of the partition's blocks with the fraction of blocks >= each size."""
+    """Sizes of the partition's blocks with the fraction of blocks >= each
+    size; raises GraphError for xmin < 1 (see `fit_power_law`)."""
     if len(partition) == 0:
         raise GraphError("empty partition")
     sizes = partition.block_sizes()
@@ -145,24 +146,19 @@ def _hurwitz_zeta(s: float, a: int, cutoff: int = 64) -> float:
 _ALPHA_LO, _ALPHA_HI = 1.0 + 1e-6, 20.0
 
 
-def fit_power_law(sizes, xmin: int = 1, method: str = "discrete") -> float | None:
+def fit_power_law(sizes, xmin: int = 1) -> float | None:
     """Maximum-likelihood exponent for P(s) ~ s^-alpha over sizes >= xmin.
 
-    The default maximizes the exact discrete (zeta-normalized) likelihood,
-    which stays unbiased down to xmin = 1. method="continuous" gives the
-    closed-form continuous approximation with the -0.5 offset,
-    alpha = 1 + n' / sum(ln(s_i / (xmin - 0.5))), adequate for larger xmin.
-    Returns None (fit declined) with fewer than 3 qualifying sizes or when
-    the discrete likelihood has no interior maximum (all sizes at xmin).
+    Maximizes the exact discrete (zeta-normalized) likelihood, which stays
+    unbiased down to xmin = 1. Returns None (fit declined) with fewer than 3
+    qualifying sizes or when the likelihood has no interior maximum (all
+    sizes at xmin). Raises GraphError for xmin < 1.
     """
+    if xmin < 1:
+        raise GraphError(f"xmin must be >= 1, got {xmin}")
     qualifying = [s for s in sizes if s >= xmin]
     if len(qualifying) < 3:
         return None
-    if method == "continuous":
-        log_sum = sum(math.log(s / (xmin - 0.5)) for s in qualifying)
-        return 1.0 + len(qualifying) / log_sum
-    if method != "discrete":
-        raise GraphError(f"unknown power-law fit method {method!r}")
     n = len(qualifying)
     log_sizes = sum(math.log(s) for s in qualifying)
 

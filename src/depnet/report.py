@@ -100,28 +100,23 @@ def _timestamp() -> str | None:
     return moment.isoformat()
 
 
-def build_report(
-    graph: ClassGraph,
-    config: dict,
-    input_bytes: bytes,
-    runs: int = 100,
-    eb_runs: int = 10,
-    seed: int = 42,
-    xmin: int = 1,
-    package_depth: int | None = None,
-) -> dict:
-    """Run the full analysis (package metrics + all detectors) into one dict."""
+def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
+    """Run the full analysis (package metrics + all detectors) into one dict,
+    with the settings `runs`, `eb_runs`, `seed`, `xmin` and `package_depth`
+    read from `config`, which the report records."""
     # Imported here: OpenSSL's _hashlib is slow to load and only this uses it.
     import hashlib
 
-    packages, packages_plus, disconnected = package_analysis(graph, package_depth)
+    xmin = config["xmin"]
+    packages, packages_plus, disconnected = \
+        package_analysis(graph, config["package_depth"])
 
     algo_section: dict[str, dict] = {}
     distributions = {"packages": size_distribution(packages, xmin).to_dict()}
     for algo in ("eb", "mo", "lp"):
-        algo_runs = eb_runs if algo == "eb" else runs
+        runs = config["eb_runs" if algo == "eb" else "runs"]
         try:
-            stats, best = run_batch(graph, algo, algo_runs, seed, packages)
+            stats, best = run_batch(graph, algo, runs, config["seed"], packages)
         except SizeCapError as exc:
             algo_section[algo] = {"skipped": str(exc)}
             continue

@@ -13,6 +13,9 @@ its own component search; its label order must be kept, since `nmi` sums
 floats in that order. `tokenize_reference` is the original character-stepping
 tokenizer, which tracks line and column for every token; the master-regex
 `tokenize` must give the same stream, with `position` for line and column.
+`largest_components_filter_reference` is the original component filter with
+its own union-find; the filter built on `component_labels` must give the
+same community graph.
 """
 
 import math
@@ -24,6 +27,7 @@ from itertools import combinations
 from depnet import (ClassGraph, Dendrogram, DependencyKind, GraphError,
                     ParseError, Partition, SizeCapError, build_graph,
                     collapse_to_weighted)
+from depnet.abstract import Community, CommunityGraph
 from depnet.detect import EB_DEFAULT_EDGE_CAP, DendrogramLevel
 from depnet.graph import Label
 from depnet.headers import MODIFIERS
@@ -446,3 +450,32 @@ def tokenize_reference(source: str, filename: str | None = None) -> list[Referen
         raise err(f"unexpected character {ch!r}", line, col)
     tokens.append(ReferenceToken("eof", "", line, col))
     return tokens
+
+
+def largest_components_filter_reference(cgraph: CommunityGraph, k: int) -> CommunityGraph:
+    """Keep the k largest connected components by total class count."""
+    if k < 1:
+        raise GraphError("k must be >= 1")
+    parent = {c.label: c.label for c in cgraph.communities}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for edge in cgraph.edges:
+        ra, rb = find(edge.a), find(edge.b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict[str, list[Community]] = {}
+    for community in cgraph.communities:
+        groups.setdefault(find(community.label), []).append(community)
+    ranked = sorted(
+        groups.values(),
+        key=lambda cs: (-sum(c.size for c in cs), min(c.label for c in cs)),
+    )
+    keep = {c.label for group in ranked[:k] for c in group}
+    communities = tuple(c for c in cgraph.communities if c.label in keep)
+    edges = tuple(e for e in cgraph.edges if e.a in keep and e.b in keep)
+    return CommunityGraph(communities, edges)

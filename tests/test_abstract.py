@@ -1,10 +1,30 @@
+import random
+
 import pytest
 
 from depnet import (FormatError, GraphError, Partition,
                     community_graph_from_json, community_network, export,
                     largest_components_filter)
+from depnet.abstract import Community, CommunityEdge, CommunityGraph
 
 from conftest import graph_from_pairs
+from oracles import largest_components_filter_reference
+
+
+def random_community_graph(rng: random.Random) -> CommunityGraph:
+    """Sparse random community graph: isolated communities are common, and
+    sizes 1-3 make equal component totals common too. Labels are digit
+    strings, so their string order differs from their numeric order."""
+    labels = sorted(rng.sample([str(i) for i in range(40)], rng.randint(1, 12)))
+    communities = tuple(
+        Community(label, rng.randint(1, 3), {"p": 1}, rng.randint(0, 2))
+        for label in labels)
+    pairs = set()
+    if len(labels) > 1:
+        for _ in range(rng.randint(0, len(labels))):
+            pairs.add(tuple(sorted(rng.sample(labels, 2))))
+    edges = tuple(CommunityEdge(a, b, rng.randint(1, 4)) for a, b in sorted(pairs))
+    return CommunityGraph(communities, edges)
 
 
 @pytest.fixture
@@ -60,6 +80,30 @@ class TestComponentsFilter:
         cg = community_network(g, part, pkgs)
         filtered = largest_components_filter(cg, 1)
         assert filtered.labels() == ["a", "b", "c"]
+
+    def test_equal_totals_keep_smallest_label(self):
+        """{b} and {a, c} both hold 2 classes; the component holding the
+        smallest label, a, ranks first."""
+        cg = CommunityGraph(
+            (Community("a", 1, {}, 0), Community("b", 2, {}, 0),
+             Community("c", 1, {}, 0)),
+            (CommunityEdge("a", "c", 1),))
+        assert largest_components_filter(cg, 1).labels() == ["a", "c"]
+
+    def test_matches_union_find_reference(self):
+        rng = random.Random(20)
+        tied = 0
+        for _ in range(300):
+            cg = random_community_graph(rng)
+            one = largest_components_filter_reference(cg, 1)
+            two = largest_components_filter_reference(cg, 2)
+            tied += sum(c.size for c in one.communities) == \
+                sum(c.size for c in two.communities) - \
+                sum(c.size for c in one.communities)
+            for k in range(1, len(cg.communities) + 2):
+                assert largest_components_filter(cg, k) == \
+                    largest_components_filter_reference(cg, k)
+        assert tied > 20  # the smallest-label tie rule was exercised
 
     def test_bad_k(self, triangle_cgraph):
         with pytest.raises(GraphError):

@@ -226,6 +226,27 @@ class TestExitCodes:
         assert main(["extract", str(src), "--out", str(out)]) == 2
         assert "unterminated literal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["metrics", "{net}", "--xmin", "0"],
+        ["metrics", "{net}", "--xmin", "-1"],
+        ["report", "{net}", "--runs", "1", "--xmin", "0"],
+        ["metrics", "{net}", "--package-depth", "0"],
+        ["report", "{net}", "--runs", "1", "--package-depth", "-1"],
+        ["detect", "{net}", "--algo", "mo", "--runs", "1",
+         "--package-depth", "0"],
+        ["refine", "{net}", "--package-depth", "0"],
+        ["extract", "{corpus}", "--out", "{out}", "--package-depth", "0"],
+    ])
+    def test_out_of_range_numeric_option_is_two(self, network, tmp_path,
+                                                 capsys, args):
+        """xmin < 1 used to end in a ZeroDivisionError traceback; a package
+        depth < 1 was silently accepted."""
+        out = tmp_path / "out.tsv"
+        argv = [a.format(net=network, corpus=CORPUS_DIR, out=out) for a in args]
+        assert main(argv) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_success_is_zero(self, network):
         assert main(["metrics", network]) == 0
 

@@ -181,6 +181,18 @@ def test_annotation_arguments_skipped():
     assert refs(decl.field_types) == ["Baz"]
 
 
+@pytest.mark.parametrize("source, fields", [
+    ('@A(x = "(") class A {}', []),
+    ('@A(x = ")") class A { B b; }', ["B"]),
+    ("@A(c = '(', d = -1) class A { @B(s = \"\\\")(\", n = +2) C c; }", ["C"]),
+])
+def test_parenthesis_in_annotation_literal_not_counted(source, fields):
+    """String and char literals in annotation arguments are atoms; the first
+    two sources used to fail with 'unterminated annotation' and
+    'unterminated literal'."""
+    assert refs(parse_class_headers(source)[0].field_types) == fields
+
+
 def test_word_class_is_isalnum_underscore_dollar():
     """The tokenizer's [\\w$] must agree with str.isalnum() on every code point."""
     word = re.compile(r"[\w$]")
@@ -226,14 +238,38 @@ def offset_of(source, line, col):
     return start + col - 1
 
 
-def never_closes(text):
-    """True if the '(' that text starts with has no matching ')'."""
+# One atom of an annotation's argument list: a parenthesis or a whole string
+# or char literal; every other character is skipped.
+ARGUMENT_ATOM = re.compile(
+    r"""[()]|"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*'""", re.DOTALL)
+
+
+def argument_atoms(text):
+    """Atoms of the argument list that text starts with, up to and with its
+    closing ')', or to the end of text if it never closes."""
     depth = 0
-    for ch in text:
-        depth += (ch == "(") - (ch == ")")
+    for atom in ARGUMENT_ATOM.finditer(text):
+        yield atom.group()
+        depth += (atom.group() == "(") - (atom.group() == ")")
         if depth == 0:
-            return False
-    return True
+            return
+
+
+def never_closes(text):
+    """True if the '(' that text starts with has no matching ')', literals
+    counting as atoms."""
+    atoms = list(argument_atoms(text))
+    return atoms.count("(") != atoms.count(")")
+
+
+def literal_paren_in_annotation(source):
+    """True if the argument list after some '@Name' holds a literal with a
+    parenthesis in it. A loose textual test: an '@' inside a comment or a
+    literal counts too."""
+    return any(
+        atom[0] in "\"'" and ("(" in atom or ")" in atom)
+        for head in re.finditer(r"@[\w$.]*\(", source)
+        for atom in argument_atoms(source[head.end() - 1:]))
 
 
 def test_tokenize_matches_reference_on_golden_corpus():
@@ -264,9 +300,12 @@ fuzz_text = st.lists(st.sampled_from(FUZZ_ALPHABET), max_size=40).map("".join)
 @given(fuzz_text)
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_reference_on_fuzzed_text(source):
-    """Same stream or the same ParseError, apart from the two documented
-    fixes: a trailing backslash in a literal (IndexError before) and an
-    annotation whose '(' never closes (silently swallowed before)."""
+    """Same stream or the same ParseError, apart from three documented
+    fixes: a trailing backslash in a literal (IndexError before), an
+    annotation whose '(' never closes (silently swallowed before), and a
+    parenthesis inside a literal in annotation arguments (counted before)."""
+    if literal_paren_in_annotation(source):
+        return
     got = token_stream(source)
     try:
         expected = reference_stream(source)

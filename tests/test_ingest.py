@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from depnet import (DependencyKind, FormatError, ResolveError,
+from depnet import (DependencyKind, FormatError, GraphError, ResolveError,
                     ResolveOptions, build_graph, load_edge_list,
                     load_partition, package_partition, parse_class_headers,
                     parse_corpus, remove_isolated, resolve_dependencies,
                     write_edge_list, write_partition)
+from depnet.ingest import package_of
 
 from conftest import CORPUS_DIR, GOLDEN_EDGES
 
@@ -141,6 +142,22 @@ class TestEdgeList:
         write_edge_list(g, buf)
         assert buf.getvalue() == text
 
+    def test_isolated_nodes_written_as_drop_and_round_trip(self):
+        g = build_graph(["p.A", "p.B", "p.C", "p.D"],
+                        [("p.A", "p.C", F), ("p.C", "p.A", F)])
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        text = buf.getvalue()
+        assert text.startswith("#depnet-edges v1 isolated=drop\n")
+        back = load_edge_list(io.StringIO(text))
+        trimmed = remove_isolated(g)
+        assert (back.fqns, back.edges) == (trimmed.fqns, trimmed.edges)
+        assert back.fqns == ("p.A", "p.C")
+
+    def test_keep_header_still_read(self):
+        text = "#depnet-edges v1 isolated=keep\np.A\tp.B\tfield\n"
+        assert load_edge_list(io.StringIO(text)).fqns == ("p.A", "p.B")
+
     def test_duplicate_lines_are_parallel_edges(self):
         text = ("#depnet-edges v1 isolated=drop\n"
                 "p.A\tp.B\tfield\np.A\tp.B\tfield\n")
@@ -171,6 +188,17 @@ class TestPackagePartition:
         g = build_graph(["org.a.b.X", "org.c.Y"], [("org.a.b.X", "org.c.Y", F)])
         part = package_partition(g, depth=1)
         assert part.label_set() == {"org"}
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        """Depth 0 used to put every class in package "", and -1 to cut
+        segments from the end (a.b.c.D -> a.b)."""
+        g = build_graph(["a.b.c.D", "X"], [("a.b.c.D", "X", F)])
+        with pytest.raises(GraphError, match="package depth"):
+            package_partition(g, depth)
+        for fqn in ("a.b.c.D", "X"):
+            with pytest.raises(GraphError, match="package depth"):
+                package_of(fqn, depth)
 
     def test_default_package(self):
         g = build_graph(["X", "Y"], [("X", "Y", F)])

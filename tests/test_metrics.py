@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -224,15 +223,18 @@ class TestSizeDistribution:
 
 
 class TestPowerLawFit:
-    def test_continuous_hand_evaluated_values(self):
-        alpha = fit_power_law([1, 1, 1, 1, 2, 4], method="continuous")
-        assert alpha == pytest.approx(1.9618, abs=1e-4)
-        alpha = fit_power_law([1, 1, 1], method="continuous")
-        assert alpha == pytest.approx(1 + 1 / math.log(2), abs=1e-12)
-
     def test_declined_with_too_few_sizes(self):
         assert fit_power_law([5, 6]) is None
         assert fit_power_law([1, 2, 3], xmin=3) is None
+
+    @pytest.mark.parametrize("xmin", [0, -2])
+    def test_xmin_below_one_rejected(self, xmin):
+        """xmin = 0 used to divide by zero in the zeta tail."""
+        for sizes in ([1, 2, 3, 5], [4]):
+            with pytest.raises(GraphError, match="xmin"):
+                fit_power_law(sizes, xmin)
+        with pytest.raises(GraphError, match="xmin"):
+            size_distribution(Partition({0: "a", 1: "a", 2: "b"}), xmin)
 
     def test_degenerate_discrete_fit_declined(self):
         assert fit_power_law([1, 1, 1, 1]) is None
@@ -248,15 +250,6 @@ class TestPowerLawFit:
         best = max(grid, key=lambda a: -a * log_sum
                    - len(sizes) * m.log(float(mpmath.zeta(a, 1))))
         assert alpha == pytest.approx(best, abs=2e-3)
-
-    def test_xmin_filters_continuous(self):
-        alpha = fit_power_law([1, 1, 2, 4, 8], xmin=2, method="continuous")
-        expected = 1 + 3 / (math.log(2 / 1.5) + math.log(4 / 1.5) + math.log(8 / 1.5))
-        assert alpha == pytest.approx(expected, abs=1e-12)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(GraphError):
-            fit_power_law([1, 2, 3], method="bogus")
 
     def test_recovers_exponent_from_samples(self):
         numpy = pytest.importorskip("numpy")
