@@ -1,8 +1,8 @@
 """Class dependency networks: extraction, community detection, metrics,
 package refinement, and community-abstraction export."""
 
-from .abstract import (CommunityGraph, community_graph_from_json,
-                       community_network, export, largest_components_filter)
+from .abstract import (CommunityGraph, community_network, export,
+                       largest_components_filter)
 from .detect import (Dendrogram, detect_eb, detect_lp, detect_mo,
                      edge_betweenness, refine_packages)
 from .errors import (DepnetError, FormatError, GraphError, ParseError,
@@ -24,12 +24,12 @@ __all__ = [
     "DependencyKind", "DepnetError", "FormatError", "GraphError", "ParseError",
     "Partition", "ResolveError", "ResolveOptions", "SizeCapError",
     "SizeDistribution", "TypeRef", "WeightedGraph", "build_graph",
-    "collapse_to_weighted", "community_graph_from_json", "community_network",
-    "connected_components", "detect_eb", "detect_lp", "detect_mo",
-    "edge_betweenness", "export", "fit_power_law", "induced_subgraph",
-    "largest_components_filter", "load_edge_list", "load_partition",
-    "modularity", "nmi", "package_partition", "parse_class_headers",
-    "parse_corpus", "refine_packages", "remove_isolated",
-    "resolve_dependencies", "run_batch", "size_distribution",
-    "split_disconnected", "write_edge_list", "write_partition",
+    "collapse_to_weighted", "community_network", "connected_components",
+    "detect_eb", "detect_lp", "detect_mo", "edge_betweenness", "export",
+    "fit_power_law", "induced_subgraph", "largest_components_filter",
+    "load_edge_list", "load_partition", "modularity", "nmi",
+    "package_partition", "parse_class_headers", "parse_corpus",
+    "refine_packages", "remove_isolated", "resolve_dependencies",
+    "run_batch", "size_distribution", "split_disconnected",
+    "write_edge_list", "write_partition",
 ]

@@ -13,7 +13,6 @@ from .errors import FormatError, GraphError
 from .graph import ClassGraph, Partition, component_labels
 
 EXPORT_FORMATS = ("dot", "graphml", "json")
-WEAK_PACKAGE_SHARE = 0.05  # display-only threshold for "weakly represented"
 
 
 @dataclass(frozen=True)
@@ -195,26 +194,3 @@ def _export_json(cgraph: CommunityGraph) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-
-def community_graph_from_json(text: str) -> CommunityGraph:
-    """Inverse of the JSON export; round-trips to an identical CommunityGraph."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid community-graph JSON: {exc}") from None
-    if doc.get("version") != 1:
-        raise FormatError(f"unsupported community-graph version {doc.get('version')!r}")
-    communities = tuple(
-        Community(
-            label=c["label"],
-            size=c["size"],
-            packages=dict(c["packages"]),
-            self_weight=c["self_weight"],
-        )
-        for c in sorted(doc["communities"], key=lambda c: c["label"])
-    )
-    edges = tuple(
-        CommunityEdge(e["a"], e["b"], e["weight"])
-        for e in sorted(doc["edges"], key=lambda e: (e["a"], e["b"]))
-    )
-    return CommunityGraph(communities, edges)

@@ -5,6 +5,7 @@ Exit status: 0 on success, 1 on usage/config errors, 2 on data errors.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from pathlib import Path
@@ -16,10 +17,10 @@ from .abstract import (EXPORT_FORMATS, community_network, export,
                        largest_components_filter)
 from .detect import refine_packages
 from .errors import DepnetError
-from .graph import ClassGraph, build_graph, remove_isolated
+from .graph import ClassGraph, Partition, build_graph, remove_isolated
 from .ingest import (ResolveOptions, load_edge_list, load_partition,
-                     package_partition, parse_corpus, write_edge_list,
-                     write_partition)
+                     package_partition, parse_corpus, read_text,
+                     write_edge_list, write_partition)
 from .metrics import (modularity, nmi, package_analysis, run_batch,
                       size_distribution)
 
@@ -38,12 +39,15 @@ def _collect_sources(inputs: tuple[str, ...]) -> list[tuple[str, str]]:
             paths.append(path)
     if not paths:
         raise DepnetError("no input classes")
-    return [(str(p), p.read_text(encoding="utf-8")) for p in paths]
+    return [(str(p), read_text(p)) for p in paths]
 
 
-def _load_graph(network: str):
-    with open(network, encoding="utf-8") as stream:
-        return load_edge_list(stream)
+def _load_graph(network: str) -> ClassGraph:
+    return load_edge_list(io.StringIO(read_text(network)))
+
+
+def _load_partition(path: str, graph: ClassGraph) -> Partition:
+    return load_partition(io.StringIO(read_text(path)), graph)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -134,8 +138,7 @@ def cmd_metrics(network, partitions, xmin, package_depth, out):
                 f"{path}: partitions are named by file basename and {name!r} "
                 "is already taken ('P' and 'P+' are the package partitions)"
             )
-        with open(path, encoding="utf-8") as stream:
-            named[name] = load_partition(stream, graph)
+        named[name] = _load_partition(path, graph)
     pairs = sorted(named)
     doc = {
         "network": {"nodes": graph.n_nodes, "edges": graph.m,
@@ -190,8 +193,7 @@ def cmd_refine(network, seed, package_depth, out):
 def cmd_abstract(network, partition, fmt, components, package_depth, out):
     """Export the community-abstraction network for a stored partition."""
     graph = _load_graph(network)
-    with open(partition, encoding="utf-8") as stream:
-        part = load_partition(stream, graph)
+    part = _load_partition(partition, graph)
     packages = package_partition(graph, package_depth)
     cgraph = community_network(graph, part, packages)
     if components is not None:
@@ -252,10 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except click.Abort:
         return 1
-    except DepnetError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except OSError as exc:
+    except (DepnetError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     return 0

@@ -9,7 +9,6 @@ the constant denominator 4*m^2, so ties never depend on float rounding.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import random
 import warnings
@@ -22,7 +21,7 @@ from .graph import (ClassGraph, Partition, WeightedGraph, collapse_to_weighted,
                     component_labels, modularity_numerator)
 
 EB_DEFAULT_EDGE_CAP = 5000
-LP_DEFAULT_SWEEP_CAP = 1000
+LP_SWEEP_CAP = 1000  # label-propagation sweeps before giving up on a fixpoint
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,8 @@ def detect_eb(
     adj = {u: set(collapsed.neighbors(u)) for u in range(n)}
     denom = 4 * graph.m ** 2 if graph.m else 1
 
-    partition = Partition(component_labels(adj, range(n)))
+    comp = component_labels(adj, range(n))
+    partition = Partition(comp[u] for u in range(n))
     n_components = partition.n_blocks
     best_num = modularity_numerator(graph, partition)
     best_partition = partition
@@ -171,7 +171,8 @@ def detect_eb(
             scores.update(_edge_betweenness(
                 adj, sorted(x for x, c in reach.items() if c == side)))
         if reach[v]:
-            partition = Partition(component_labels(adj, range(n)))
+            comp = component_labels(adj, range(n))
+            partition = Partition(comp[u] for u in range(n))
             n_components += 1
             num = modularity_numerator(graph, partition)
             levels.append(DendrogramLevel(n_components, num / denom))
@@ -195,7 +196,8 @@ def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
 
     Tie rule: the tie set is the sorted list of every maximal-gain pair; with
     more than one, rng.randrange(len(ties)) picks one, uniformly under the
-    seed. The larger id d always merges into the smaller id c.
+    seed. The larger id d always merges into the smaller id c. Buckets are
+    unordered sets; a bucket is sorted only when a tie is drawn from it.
     """
     if graph.n_nodes == 0:
         raise GraphError("empty graph")
@@ -208,14 +210,12 @@ def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
     deg = list(graph.degree)
     nbr = [dict(graph.neighbors(u)) for u in range(n)]
     # Gain of merging (c, d) is 2*(2m*e_cd - d_c*d_d) on the numerator scale;
-    # buckets hold the halved gain, each bucket's pairs kept sorted.
-    buckets: dict[int, list[tuple[int, int]]] = {}
+    # buckets hold the halved gain.
+    buckets: dict[int, set[tuple[int, int]]] = {}
     for c in range(n):
         for d, e in nbr[c].items():
             if c < d:
-                buckets.setdefault(two_m * e - deg[c] * deg[d], []).append((c, d))
-    for bucket in buckets.values():
-        bucket.sort()
+                buckets.setdefault(two_m * e - deg[c] * deg[d], set()).add((c, d))
     # Negated gains; an entry whose bucket has emptied is dropped when it
     # reaches the top.
     heap = [-gain for gain in buckets]
@@ -223,19 +223,16 @@ def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
 
     def drop_pair(c: int, x: int, gain: int) -> None:
         bucket = buckets[gain]
-        if len(bucket) == 1:
+        bucket.discard((c, x) if c < x else (x, c))
+        if not bucket:
             del buckets[gain]
-        else:
-            del bucket[bisect.bisect_left(bucket, (c, x) if c < x else (x, c))]
 
     def add_pair(c: int, x: int, gain: int) -> None:
-        pair = (c, x) if c < x else (x, c)
         bucket = buckets.get(gain)
         if bucket is None:
-            buckets[gain] = [pair]
+            bucket = buckets[gain] = set()
             heapq.heappush(heap, -gain)
-        else:
-            bisect.insort(bucket, pair)
+        bucket.add((c, x) if c < x else (x, c))
 
     q_num = -sum(k * k for k in graph.degree)
     best_num = q_num
@@ -249,7 +246,8 @@ def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
         if ties is None:
             heapq.heappop(heap)
             continue
-        c, d = ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+        c, d = sorted(ties)[rng.randrange(len(ties))] if len(ties) > 1 \
+            else next(iter(ties))
         # Merge d into c: drop every pair touching c or d at its old gain,
         # fold d's edge counts into c, then add c's pairs at their new gains.
         nbr_c, nbr_d = nbr[c], nbr[d]
@@ -280,21 +278,19 @@ def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
         comm[d] = c
     for node in range(n):
         comm[node] = comm[comm[node]]
-    partition = Partition.from_labels(comm).relabel_dense()
+    partition = Partition(comm).relabel_dense()
     return partition, Dendrogram(levels, best_index)
 
 
-def _lp_sweeps(
-    graph: ClassGraph,
-    labels: list[Hashable],
-    rng: random.Random,
-    max_sweeps: int,
-) -> None:
+def _lp_sweeps(graph: ClassGraph, labels: list[Hashable],
+               rng: random.Random) -> None:
     """Asynchronous label-propagation sweeps until the fixpoint, in place.
 
     A node adopts the label of maximal multiplicity-weighted frequency among
     its neighbors, ties uniform under the rng. Nodes without neighbors keep
-    their label.
+    their label. At most LP_SWEEP_CAP sweeps run; if the labels are still
+    not at a fixpoint after the last one, a RuntimeWarning says so and the
+    current labels stand.
     """
     nodes = list(range(graph.n_nodes))
 
@@ -310,7 +306,7 @@ def _lp_sweeps(
     def at_fixpoint() -> bool:
         return all(labels[u] in maximal_labels(u) for u in nodes)
 
-    for _ in range(max_sweeps):
+    for _ in range(LP_SWEEP_CAP):
         if at_fixpoint():
             return
         rng.shuffle(nodes)
@@ -318,33 +314,29 @@ def _lp_sweeps(
             candidates = sorted(maximal_labels(u), key=str)
             labels[u] = candidates[rng.randrange(len(candidates))] \
                 if len(candidates) > 1 else candidates[0]
-    warnings.warn(
-        f"label propagation hit the sweep cap ({max_sweeps}) before reaching "
-        "a fixpoint; returning the current labeling",
-        RuntimeWarning,
-    )
+    if not at_fixpoint():
+        warnings.warn(
+            f"label propagation hit the sweep cap ({LP_SWEEP_CAP}) before "
+            "reaching a fixpoint; returning the current labeling",
+            RuntimeWarning,
+        )
 
 
-def detect_lp(
-    graph: ClassGraph,
-    seed: int,
-    max_sweeps: int = LP_DEFAULT_SWEEP_CAP,
-) -> Partition:
-    """Label propagation from unique initial labels, densely relabeled."""
+def detect_lp(graph: ClassGraph, seed: int) -> Partition:
+    """Label propagation from unique initial labels, densely relabeled.
+
+    Sweeps stop at the fixpoint or after LP_SWEEP_CAP sweeps; only a run
+    that ends at the cap without reaching the fixpoint warns.
+    """
     if graph.n_nodes == 0:
         raise GraphError("empty graph")
     rng = random.Random(seed)
     labels: list[Hashable] = list(range(graph.n_nodes))
-    _lp_sweeps(graph, labels, rng, max_sweeps)
-    return Partition.from_labels(labels).relabel_dense()
+    _lp_sweeps(graph, labels, rng)
+    return Partition(labels).relabel_dense()
 
 
-def refine_packages(
-    graph: ClassGraph,
-    initial: Partition,
-    seed: int,
-    max_sweeps: int = LP_DEFAULT_SWEEP_CAP,
-) -> Partition:
+def refine_packages(graph: ClassGraph, initial: Partition, seed: int) -> Partition:
     """Refine and merge an existing partition by label propagation.
 
     Sweeps start from the given labels, so the output label set is a subset
@@ -354,7 +346,7 @@ def refine_packages(
         raise GraphError("initial partition does not cover the graph")
     rng = random.Random(seed)
     labels = list(initial.labels)
-    _lp_sweeps(graph, labels, rng, max_sweeps)
-    result = Partition.from_labels(labels)
+    _lp_sweeps(graph, labels, rng)
+    result = Partition(labels)
     assert result.label_set() <= initial.label_set()
     return result

@@ -27,20 +27,13 @@ class Partition:
     """Total assignment of node ids 0..n-1 to labels, stored as one tuple
     indexed by node id; blocks are derived lazily and cached."""
 
-    def __init__(self, labels: Mapping[int, Label]):
-        n = len(labels)
-        if not all(node in labels for node in range(n)):
-            raise GraphError("partition keys must be exactly the node ids 0..n-1")
-        self._labels = tuple(labels[node] for node in range(n))
-        self._blocks: Mapping[Label, frozenset[int]] | None = None
-
-    @classmethod
-    def from_labels(cls, labels: Iterable[Label]) -> "Partition":
+    def __init__(self, labels: Iterable[Label]):
         """Partition whose i-th label is the label of node i."""
-        partition = cls.__new__(cls)
-        partition._labels = tuple(labels)
-        partition._blocks = None
-        return partition
+        if isinstance(labels, Mapping):
+            raise GraphError("partition labels are given in node order, "
+                             "not as a mapping")
+        self._labels = tuple(labels)
+        self._blocks: Mapping[Label, frozenset[int]] | None = None
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -80,7 +73,7 @@ class Partition:
         remap: dict[Label, int] = {}
         for label in self._labels:
             remap.setdefault(label, len(remap))
-        return Partition.from_labels(remap[label] for label in self._labels)
+        return Partition(remap[label] for label in self._labels)
 
     def covers(self, graph: "ClassGraph") -> bool:
         return len(self._labels) == graph.n_nodes
@@ -190,28 +183,26 @@ class ClassGraph:
 
 
 class WeightedGraph:
-    """Simple undirected graph with integer edge weights (collapsed multigraph)."""
+    """A ClassGraph with each bundle of parallel edges collapsed into one
+    edge weighted by its multiplicity."""
 
-    def __init__(self, fqns: Sequence[str], weights: Mapping[tuple[int, int], int]):
-        self.fqns = tuple(fqns)
-        self.weights: dict[tuple[int, int], int] = {}
-        self._adj: dict[int, dict[int, int]] = {i: {} for i in range(len(self.fqns))}
-        for (u, v), w in weights.items():
-            if u == v:
-                raise GraphError(f"self-loop on node {u}")
-            if u > v:
-                u, v = v, u
-            self.weights[(u, v)] = self.weights.get((u, v), 0) + w
-            self._adj[u][v] = self._adj[u].get(v, 0) + w
-            self._adj[v][u] = self._adj[v].get(u, 0) + w
+    def __init__(self, graph: ClassGraph):
+        self.fqns = graph.fqns
+        # Plain dicts, not Counters: EB sums floats in the iteration order
+        # of sets built from these, and CPython sizes a set built from an
+        # exact dict differently from one built from a dict subclass.
+        self._adj = [dict(graph.neighbors(u)) for u in range(graph.n_nodes)]
+        self.n_edges = sum(map(len, self._adj)) // 2
 
     @property
     def n_nodes(self) -> int:
         return len(self.fqns)
 
     @property
-    def n_edges(self) -> int:
-        return len(self.weights)
+    def weights(self) -> dict[tuple[int, int], int]:
+        """(u, v) with u < v -> weight."""
+        return {(u, v): w for u, adj in enumerate(self._adj)
+                for v, w in adj.items() if u < v}
 
     @property
     def total_weight(self) -> int:
@@ -278,7 +269,9 @@ def component_labels(
 
 def connected_components(graph: ClassGraph) -> Partition:
     """Label every node with the index of its connected component."""
-    return Partition(component_labels(graph._adj, range(graph.n_nodes)))
+    nodes = range(graph.n_nodes)
+    comp = component_labels(graph._adj, nodes)
+    return Partition(comp[u] for u in nodes)
 
 
 def induced_subgraph(graph: ClassGraph, node_set: Iterable[int]) -> ClassGraph:
@@ -299,7 +292,4 @@ def induced_subgraph(graph: ClassGraph, node_set: Iterable[int]) -> ClassGraph:
 
 def collapse_to_weighted(graph: ClassGraph) -> WeightedGraph:
     """Merge parallel edges into a single edge weighted by multiplicity."""
-    weights: Counter = Counter()
-    for u, v, _ in graph.edges:
-        weights[(u, v)] += 1
-    return WeightedGraph(graph.fqns, weights)
+    return WeightedGraph(graph)

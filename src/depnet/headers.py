@@ -23,6 +23,9 @@ PRIMITIVES = frozenset({
 })
 KEYWORDS = frozenset({"package", "import", "class", "interface",
                       "extends", "implements", "throws", "void"})
+# Levels of generic arguments, wildcard and type-parameter bounds and nested
+# classes, counted together; the parser recurses once per level.
+MAX_NESTING = 100
 
 # One match per token: comments and the whitespace " \t\r\n" are skipped
 # first, then one of the groups below is taken. A match with no group is the
@@ -38,9 +41,11 @@ _TOKEN = re.compile(r"""
       | (@)                                      # 4: annotation
     )?""", re.VERBOSE | re.DOTALL)
 _DOTTED = re.compile(r"[\w$.]*")  # a numeric literal or an annotation name
-# In annotation arguments: a parenthesis, or a literal (group 1) taken whole
-# so that the parentheses inside it are not counted.
-_ANNOTATION_ATOM = re.compile(r"[()] | " + _LITERAL, re.VERBOSE | re.DOTALL)
+# In annotation arguments: a parenthesis, a literal (group 1) taken whole so
+# that the parentheses inside it are not counted, or a quote that starts no
+# complete literal (group 2).
+_ANNOTATION_ATOM = re.compile(r"[()] | " + _LITERAL + r""" | (["'])""",
+                              re.VERBOSE | re.DOTALL)
 
 
 class Token(NamedTuple):
@@ -107,13 +112,14 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
     then an optional ``(...)`` right after it; it yields no token. Inside
     the parentheses, string and char literals are skipped whole and every
     other character is skipped raw, so only parentheses outside literals
-    count. A quote that starts no complete literal is a raw character.
+    count.
 
     Each token holds the offset of its first character; ``position`` turns an
     offset into a line and column, which only errors and ``ClassDecl.line``
     need. ParseError is raised for an unexpected character, an unterminated
     block comment, an unterminated string or char literal (one ending in a
-    backslash at end of input included), an ``@`` with no name, and an
+    backslash at end of input included, and a quote in annotation arguments
+    that starts no complete literal), an ``@`` with no name, and an
     annotation whose ``(`` is never closed ("unterminated annotation").
     """
     tokens: list[Token] = []
@@ -161,6 +167,8 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
             if source.startswith("(", end):
                 depth = 0
                 for atom in _ANNOTATION_ATOM.finditer(source, end):
+                    if atom.lastindex == 2:
+                        raise err("unterminated literal", atom.start())
                     if atom.lastindex:
                         continue  # a literal
                     depth += 1 if atom.group() == "(" else -1
@@ -180,6 +188,7 @@ class _Parser:
         self.tokens = tokens
         self.source = source
         self.pos = 0
+        self.depth = 0  # see MAX_NESTING
         self.filename = filename
         self.package = ""
         self.imports: list[str] = []
@@ -211,6 +220,12 @@ class _Parser:
         if not self.at_punct(value):
             raise self.error(f"expected {value!r}, found {self.peek().value!r}")
         return self.next()
+
+    def enter(self) -> None:
+        """Open one nesting level at the current token."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error("nesting too deep")
 
     def expect_ident(self) -> Token:
         tok = self.peek()
@@ -286,11 +301,13 @@ class _Parser:
         while True:
             names.add(self.expect_ident().value)
             if self.at_word("extends"):
+                self.enter()
                 self.next()
                 self.type_ref()
                 while self.at_punct("&"):
                     self.next()
                     self.type_ref()
+                self.depth -= 1
             if self.at_punct(","):
                 self.next()
                 continue
@@ -309,8 +326,10 @@ class _Parser:
             self.next()
             ref = TypeRef("?")
             if self.at_word("extends") or self.at_word("super"):
+                self.enter()
                 self.next()
                 ref.args.append(self.type_ref())
+                self.depth -= 1
             return ref
         tok = self.peek()
         if tok.kind != "ident":
@@ -325,12 +344,14 @@ class _Parser:
         else:
             ref = TypeRef(self.qualified_name())
         if self.at_punct("<"):
+            self.enter()
             self.next()
             ref.args.append(self.type_ref())
             while self.at_punct(","):
                 self.next()
                 ref.args.append(self.type_ref())
             self.expect_punct(">")
+            self.depth -= 1
         while self.at_punct("["):
             self.next()
             self.expect_punct("]")  # arrays decay to the element type
@@ -338,7 +359,9 @@ class _Parser:
 
     def member(self, decl: ClassDecl) -> None:
         if self.at_word("class") or self.at_word("interface"):
+            self.enter()
             self.type_decl(outer=decl)
+            self.depth -= 1
             return
         if self.at_punct("<"):
             decl.type_params |= self.type_param_names()
@@ -354,14 +377,14 @@ class _Parser:
             self.method_tail(decl, return_ref=ref)
             return
         # Field declaration, possibly multi-name with initializers.
-        self.store(decl.field_types, ref, decl)
+        self.store(decl.field_types, ref)
         while True:
             if self.at_punct("="):
                 self.skip_initializer()
             if self.at_punct(","):
                 self.next()
                 self.expect_ident()
-                self.store(decl.field_types, ref, decl)
+                self.store(decl.field_types, ref)
                 continue
             self.expect_punct(";")
             return
@@ -395,11 +418,11 @@ class _Parser:
             self.expect_punct(";")
         bucket = decl.ctor_param_types if is_ctor else decl.param_types
         for param in params:
-            self.store(bucket, param, decl)
+            self.store(bucket, param)
         if return_ref is not None:
-            self.store(decl.return_types, return_ref, decl)
+            self.store(decl.return_types, return_ref)
 
-    def store(self, bucket: list[TypeRef], ref: TypeRef, decl: ClassDecl) -> None:
+    def store(self, bucket: list[TypeRef], ref: TypeRef) -> None:
         if ref.name == "void" or ref.name in PRIMITIVES:
             return
         bucket.append(ref)
@@ -436,6 +459,11 @@ class _Parser:
 
 
 def parse_class_headers(source_text: str, filename: str | None = None) -> list[ClassDecl]:
-    """Parse one header-source file into ClassDecls (nested classes flattened)."""
+    """Parse one header-source file into ClassDecls (nested classes flattened).
+
+    Generic arguments, wildcard and type-parameter bounds and nested classes
+    nested more than MAX_NESTING levels deep raise ParseError("nesting too
+    deep") at the token that opens the level past the cap.
+    """
     tokens = tokenize(source_text, filename)
     return _Parser(tokens, source_text, filename).parse_unit()

@@ -9,6 +9,7 @@ File formats:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from .errors import FormatError, GraphError, ResolveError
@@ -137,6 +138,16 @@ def parse_corpus(
     return resolve_dependencies(decls, opts)
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 input file; FormatError names a file that is
+    not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
+
+
 def load_edge_list(stream: IO[str]) -> ClassGraph:
     """Read the edge TSV format and build the multigraph."""
     header = stream.readline().rstrip("\n")
@@ -205,7 +216,7 @@ def package_of(fqn: str, depth: int | None = None) -> str:
 def package_partition(graph: ClassGraph, depth: int | None = None) -> Partition:
     """Group nodes by their (optionally depth-truncated) package."""
     _check_depth(depth)
-    return Partition.from_labels(package_of(fqn, depth) for fqn in graph.fqns)
+    return Partition(package_of(fqn, depth) for fqn in graph.fqns)
 
 
 def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
@@ -240,7 +251,7 @@ def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
         raise FormatError(
             f"partition covers {len(first_line)} of {graph.n_nodes} nodes"
         )
-    return Partition.from_labels(labels)
+    return Partition(labels)
 
 
 def write_partition(partition: Partition, graph: ClassGraph, stream: IO[str]) -> None:

@@ -77,7 +77,7 @@ def split_disconnected(graph: ClassGraph, partition: Partition) -> Partition:
         if max(parts.values()):
             for node, idx in parts.items():
                 labels[node] = f"{label}#{idx + 1}"
-    return Partition.from_labels(labels)
+    return Partition(labels)
 
 
 def package_analysis(
@@ -132,9 +132,9 @@ def size_distribution(partition: Partition, xmin: int = 1) -> SizeDistribution:
     )
 
 
-def _hurwitz_zeta(s: float, a: int, cutoff: int = 64) -> float:
-    """sum_{k>=a} k^-s via direct terms plus an Euler-Maclaurin tail."""
-    k_tail = a + cutoff
+def _hurwitz_zeta(s: float, a: int) -> float:
+    """sum_{k>=a} k^-s via 64 direct terms plus an Euler-Maclaurin tail."""
+    k_tail = a + 64
     head = sum(k ** -s for k in range(a, k_tail))
     tail = (k_tail ** (1.0 - s) / (s - 1.0)
             + 0.5 * k_tail ** -s

@@ -11,7 +11,7 @@ import datetime
 import json
 import os
 
-from .errors import SizeCapError
+from .errors import GraphError, SizeCapError
 from .graph import ClassGraph
 from .metrics import modularity, package_analysis, run_batch, size_distribution
 
@@ -107,6 +107,8 @@ def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
     # Imported here: OpenSSL's _hashlib is slow to load and only this uses it.
     import hashlib
 
+    if min(config["runs"], config["eb_runs"]) < 1:
+        raise GraphError("runs must be >= 1")  # before any detector runs
     xmin = config["xmin"]
     packages, packages_plus, disconnected = \
         package_analysis(graph, config["package_depth"])

@@ -31,4 +31,4 @@ def two_triangles():
 
 @pytest.fixture
 def triangle_partition():
-    return Partition({0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
+    return Partition([0, 0, 0, 1, 1, 1])

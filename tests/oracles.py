@@ -71,7 +71,8 @@ def best_q_exhaustive(graph: ClassGraph) -> float:
     best = -math.inf
     for blocks in set_partitions(range(graph.n_nodes)):
         labels = {node: i for i, block in enumerate(blocks) for node in block}
-        best = max(best, modularity_ordered_pairs(graph, Partition(labels)))
+        partition = Partition(labels[node] for node in range(graph.n_nodes))
+        best = max(best, modularity_ordered_pairs(graph, partition))
     return best
 
 
@@ -109,7 +110,7 @@ def random_multigraph(rng: random.Random, max_nodes: int = 8,
 
 def random_partition(rng: random.Random, n: int) -> Partition:
     k = rng.randint(1, n)
-    return Partition({i: rng.randrange(k) for i in range(n)})
+    return Partition([rng.randrange(k) for _ in range(n)])
 
 
 def random_sparse_multigraph(rng: random.Random, n: int,
@@ -185,7 +186,7 @@ def detect_mo_reference(graph: ClassGraph, seed: int) -> tuple[Partition, Dendro
             best_num = q_num
             best_labels = list(comm)
             best_index = len(levels) - 1
-    partition = Partition(dict(enumerate(best_labels))).relabel_dense()
+    partition = Partition(best_labels).relabel_dense()
     return partition, Dendrogram(levels, best_index)
 
 
@@ -271,7 +272,7 @@ def detect_eb_reference(
     denom = 4 * graph.m ** 2 if graph.m else 1
 
     labels = _components_reference(adj)
-    partition = Partition(labels)
+    partition = Partition(labels[node] for node in range(len(labels)))
     best_num = modularity_numerator(graph, partition)
     best_partition = partition
     n_components = partition.n_blocks
@@ -285,7 +286,7 @@ def detect_eb_reference(
         adj[u].discard(v)
         adj[v].discard(u)
         labels = _components_reference(adj)
-        partition = Partition(labels)
+        partition = Partition(labels[node] for node in range(len(labels)))
         if partition.n_blocks > n_components:
             n_components = partition.n_blocks
             num = modularity_numerator(graph, partition)
@@ -313,7 +314,7 @@ def split_disconnected_reference(graph: ClassGraph, partition: Partition) -> Par
             for idx, component in enumerate(components, start=1):
                 for node in component:
                     labels[node] = f"{label}#{idx}"
-    return Partition(labels)
+    return Partition(labels[node] for node in range(len(labels)))
 
 
 def _components_within_reference(graph: ClassGraph, block: frozenset[int]) -> list[set[int]]:

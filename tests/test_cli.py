@@ -173,13 +173,11 @@ class TestAbstract:
         assert len(doc["communities"]) >= 1
 
     def test_json_round_trips(self, runner, network, tmp_path):
-        from depnet import community_graph_from_json
-
         part = self.make_partition(runner, network, tmp_path)
         result = runner.invoke(
             cli, ["abstract", network, part, "--format", "json"])
-        cg = community_graph_from_json(result.output)
-        assert sum(c.size for c in cg.communities) == 6
+        doc = json.loads(result.output)
+        assert sum(c["size"] for c in doc["communities"]) == 6
 
 
 class TestReport:
@@ -217,7 +215,8 @@ class TestExitCodes:
         assert main(["detect", str(bad), "--algo", "lp"]) == 2
 
     @pytest.mark.parametrize("text", ['class A { String s = "abc\\',
-                                      "class A { char c = '\\"])
+                                      "class A { char c = '\\",
+                                      '@A(x = ") class A { B b; }'])
     def test_truncated_literal_is_two(self, tmp_path, capsys, text):
         src = tmp_path / "src"
         src.mkdir()
@@ -246,6 +245,65 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, bad", [
+        (["extract", "{src}", "--out", "{out}"], "{src}/B.chd"),
+        (["report", "{src}", "--runs", "1"], "{src}/B.chd"),
+        (["detect", "{tsv}", "--algo", "mo", "--runs", "1"], "{tsv}"),
+        (["report", "{tsv}", "--runs", "1"], "{tsv}"),
+        (["metrics", "{tsv}"], "{tsv}"),
+        (["refine", "{tsv}"], "{tsv}"),
+        (["abstract", "{tsv}", "{part}"], "{tsv}"),
+        (["metrics", "{net}", "{bad_part}"], "{bad_part}"),
+        (["abstract", "{net}", "{bad_part}"], "{bad_part}"),
+    ], ids=["extract", "report-dir", "detect", "report-tsv", "metrics",
+            "refine", "abstract", "metrics-partition", "abstract-partition"])
+    def test_input_not_utf8_is_two(self, network, tmp_path, capsys, args, bad):
+        """Each file a command reads: a .chd source, an edge TSV or a
+        partition TSV. Each used to end in a UnicodeDecodeError traceback."""
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "A.chd").write_text("package p; class A { B b; }")
+        (src / "B.chd").write_bytes(b"package p; class B { A a; } // \xff")
+        names = {"src": src, "out": tmp_path / "out.tsv", "net": network,
+                 "tsv": tmp_path / "bad.tsv", "part": tmp_path / "part.tsv",
+                 "bad_part": tmp_path / "bad_part.tsv"}
+        names["tsv"].write_bytes(NETWORK_TEXT.encode() + b"pa.\xe9\tpb.D\tfield\n")
+        names["part"].write_text(PARTITION_TEXT)
+        names["bad_part"].write_bytes(PARTITION_TEXT.encode() + b"\xe9\n")
+        assert main([a.format(**names) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"{bad.format(**names)}: not UTF-8" in err
+        assert not (tmp_path / "out.tsv").exists()
+
+    @pytest.mark.parametrize("text", [
+        "class A { " + "L<" * 1000 + "B" + ">" * 1000 + " f; }",
+        "class A { " + "class B { " * 500 + "}" * 501,
+    ], ids=["generics-1000", "classes-500"])
+    def test_deep_nesting_is_two(self, tmp_path, capsys, text):
+        """Deep nesting used to end in a RecursionError traceback."""
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "A.chd").write_text(text)
+        out = tmp_path / "edges.tsv"
+        assert main(["extract", str(src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "A.chd:1:" in err and "nesting too deep" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--runs", "--eb-runs"])
+    def test_zero_runs_fails_before_any_detector(self, network, capsys,
+                                                 monkeypatch, flag):
+        from depnet import detect
+
+        def never(*args, **kwargs):
+            raise AssertionError("a detector ran")
+
+        for name in ("detect_eb", "detect_mo", "detect_lp"):
+            monkeypatch.setattr(detect, name, never)
+        assert main(["report", network, flag, "0"]) == 2
+        assert capsys.readouterr().err == "error: runs must be >= 1\n"
 
     def test_success_is_zero(self, network):
         assert main(["metrics", network]) == 0

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from depnet import (GraphError, Partition, SizeCapError, collapse_to_weighted,
                     connected_components, detect_eb, detect_lp, detect_mo,
                     edge_betweenness, modularity, refine_packages)
+from depnet import detect
 from depnet.detect import _edge_betweenness
 from depnet.graph import component_labels
 
@@ -98,7 +100,7 @@ class TestMO:
         for _ in range(20):
             g = random_multigraph(rng)
             part, _ = detect_mo(g, seed=rng.randrange(1 << 32))
-            singleton = Partition({i: i for i in range(g.n_nodes)})
+            singleton = Partition(range(g.n_nodes))
             assert modularity(g, part) >= modularity(g, singleton) - 1e-12
 
     def test_communities_connected(self):
@@ -335,9 +337,53 @@ class TestLP:
             assert part.covers(g)
 
 
+def at_fixpoint(graph, partition):
+    """Every node holds a label of maximal weight among its neighbours'."""
+    for u in range(graph.n_nodes):
+        freq = Counter()
+        for v, mult in graph.neighbors(u).items():
+            freq[partition.label_of(v)] += mult
+        if freq and freq[partition.label_of(u)] != max(freq.values()):
+            return False
+    return True
+
+
+def refine_run(graph, seed):
+    return refine_packages(graph, Partition(f"p{u}" for u in range(graph.n_nodes)),
+                           seed)
+
+
+@pytest.mark.parametrize("run", [detect_lp, refine_run])
+class TestSweepCap:
+    """LP_SWEEP_CAP at 1: the warning fires only when the last permitted
+    sweep ends away from the fixpoint."""
+
+    def test_fixpoint_on_the_last_sweep_does_not_warn(self, run, monkeypatch):
+        edge = graph_from_pairs([(0, 1)])
+        uncapped = [run(edge, seed) for seed in range(5)]
+        monkeypatch.setattr(detect, "LP_SWEEP_CAP", 1)
+        for seed in range(5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # warned on seeds 0-2 before
+                assert run(edge, seed) == uncapped[seed]
+
+    def test_cap_hit_warns_once(self, run, monkeypatch):
+        path = graph_from_pairs([(u, u + 1) for u in range(30)])
+        monkeypatch.setattr(detect, "LP_SWEEP_CAP", 1)
+        hits = 0
+        for seed in range(10):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                part = run(path, seed)
+            expected = 0 if at_fixpoint(path, part) else 1
+            assert [w.category for w in caught] == [RuntimeWarning] * expected
+            hits += expected
+        assert hits >= 5
+
+
 class TestRefine:
     def test_two_triangles_refinement(self, two_triangles):
-        initial = Partition({0: "a", 1: "a", 2: "b", 3: "c", 4: "c", 5: "c"})
+        initial = Partition(["a", "a", "b", "c", "c", "c"])
         q_before = modularity(two_triangles, initial)
         refined = refine_packages(two_triangles, initial, seed=0)
         q_after = modularity(two_triangles, refined)
@@ -360,7 +406,7 @@ class TestRefine:
 
     def test_uncovering_initial_rejected(self, two_triangles):
         with pytest.raises(GraphError):
-            refine_packages(two_triangles, Partition({0: "a"}), seed=0)
+            refine_packages(two_triangles, Partition(["a"]), seed=0)
 
 
 class TestPlantedPartition:
@@ -368,7 +414,7 @@ class TestPlantedPartition:
         from depnet import nmi
 
         g = clique_ring()
-        planted = Partition({u: u // 8 for u in range(32)})
+        planted = Partition([u // 8 for u in range(32)])
         good = sum(
             nmi(detect_lp(g, seed), planted) >= 0.95 for seed in range(100)
         )

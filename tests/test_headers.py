@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from depnet import ParseError, parse_class_headers
-from depnet.headers import position, tokenize
+from depnet.headers import MAX_NESTING, position, tokenize
 
 from conftest import CORPUS_DIR
 from oracles import tokenize_reference
@@ -159,10 +159,14 @@ def test_imports_stored():
 @pytest.mark.parametrize("source", [
     'class A { String s = "abc\\',
     "class A { char c = '\\",
+    '@A(x = ") class A { B b; }',
+    "package p; class A { @B(c = ') C c; }",
 ])
 def test_truncated_literal_is_parse_error(source):
     """A literal ending in a backslash at end of input is unterminated; the
-    character-stepping tokenizer raised IndexError here."""
+    character-stepping tokenizer raised IndexError here. So is a quote in
+    annotation arguments that starts no complete literal, as in Java; it
+    used to be skipped, and the third source parsed with the field B."""
     with pytest.raises(ParseError, match="unterminated literal") as err:
         parse_class_headers(source)
     assert (err.value.line, err.value.column) == (1, source.index("=") + 3)
@@ -191,6 +195,53 @@ def test_parenthesis_in_annotation_literal_not_counted(source, fields):
     two sources used to fail with 'unterminated annotation' and
     'unterminated literal'."""
     assert refs(parse_class_headers(source)[0].field_types) == fields
+
+
+def nested_generics(depth):
+    return "class A { " + "L<" * depth + "B" + ">" * depth + " f; }"
+
+
+def nested_classes(depth):
+    return ("class C0 { " + "".join(f"class C{i} {{ " for i in range(1, depth + 1))
+            + "}" * (depth + 1))
+
+
+def wildcard_in_generics(depth):
+    return "class A { " + "L<" * depth + "? extends B" + ">" * depth + " f; }"
+
+
+def bounded_type_parameter(depth):
+    """The bound is one level, its generic arguments the other depth - 1."""
+    return ("class A<T extends " + "L<" * (depth - 1) + "B" + ">" * (depth - 1)
+            + "> {}")
+
+
+@pytest.mark.parametrize("make, depth, opener", [
+    (nested_generics, 1000, "<"),      # a RecursionError before
+    (nested_classes, 500, "class"),    # a RecursionError before
+    (nested_generics, MAX_NESTING + 1, "<"),
+    (nested_classes, MAX_NESTING + 1, "class"),
+    (wildcard_in_generics, MAX_NESTING, "extends"),
+    (bounded_type_parameter, MAX_NESTING + 1, "<"),
+], ids=["generics-1000", "classes-500", "generics-past-cap",
+        "classes-past-cap", "wildcard-past-cap", "bound-past-cap"])
+def test_nesting_past_the_cap_is_parse_error(make, depth, opener):
+    """The cap counts generic arguments, wildcard and type-parameter bounds
+    and nested classes together, and the error points at the token that
+    opens the level past it."""
+    source = make(depth)
+    with pytest.raises(ParseError, match="nesting too deep") as err:
+        parse_class_headers(source)
+    offset = err.value.column - 1
+    assert err.value.line == 1
+    assert source.startswith(opener, offset)
+
+
+def test_nesting_at_the_cap_parses():
+    assert parse_class_headers(nested_generics(MAX_NESTING))[0].field_types
+    assert len(parse_class_headers(nested_classes(MAX_NESTING))) == MAX_NESTING + 1
+    bounded = parse_class_headers(bounded_type_parameter(MAX_NESTING))[0]
+    assert bounded.type_params == {"T"}
 
 
 def test_word_class_is_isalnum_underscore_dollar():
@@ -238,10 +289,12 @@ def offset_of(source, line, col):
     return start + col - 1
 
 
-# One atom of an annotation's argument list: a parenthesis or a whole string
-# or char literal; every other character is skipped.
+# One atom of an annotation's argument list: a parenthesis, a whole string
+# or char literal, or a quote that starts no complete literal; every other
+# character is skipped.
 ARGUMENT_ATOM = re.compile(
-    r"""[()]|"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*'""", re.DOTALL)
+    r"""[()]|"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*'|["']""",
+    re.DOTALL)
 
 
 def argument_atoms(text):
@@ -268,6 +321,15 @@ def literal_paren_in_annotation(source):
     literal counts too."""
     return any(
         atom[0] in "\"'" and ("(" in atom or ")" in atom)
+        for head in re.finditer(r"@[\w$.]*\(", source)
+        for atom in argument_atoms(source[head.end() - 1:]))
+
+
+def stray_quote_in_annotation(source):
+    """True if the argument list after some '@Name' holds a quote that
+    starts no complete literal; as loose a textual test as the one above."""
+    return any(
+        atom in ("'", '"')
         for head in re.finditer(r"@[\w$.]*\(", source)
         for atom in argument_atoms(source[head.end() - 1:]))
 
@@ -300,13 +362,19 @@ fuzz_text = st.lists(st.sampled_from(FUZZ_ALPHABET), max_size=40).map("".join)
 @given(fuzz_text)
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_reference_on_fuzzed_text(source):
-    """Same stream or the same ParseError, apart from three documented
+    """Same stream or the same ParseError, apart from four documented
     fixes: a trailing backslash in a literal (IndexError before), an
-    annotation whose '(' never closes (silently swallowed before), and a
-    parenthesis inside a literal in annotation arguments (counted before)."""
+    annotation whose '(' never closes (silently swallowed before), a
+    parenthesis inside a literal in annotation arguments (counted before),
+    and a quote in annotation arguments that starts no complete literal
+    (skipped raw before; "unterminated literal" at the quote now)."""
     if literal_paren_in_annotation(source):
         return
     got = token_stream(source)
+    if stray_quote_in_annotation(source) and isinstance(got, tuple) \
+            and "unterminated literal" in got[0]:
+        assert source[offset_of(source, got[1], got[2])] in "\"'"
+        return
     try:
         expected = reference_stream(source)
     except IndexError:

@@ -9,7 +9,7 @@ from depnet import (DependencyKind, FormatError, GraphError, ResolveError,
                     load_partition, package_partition, parse_class_headers,
                     parse_corpus, remove_isolated, resolve_dependencies,
                     write_edge_list, write_partition)
-from depnet.ingest import package_of
+from depnet.ingest import package_of, read_text
 
 from conftest import CORPUS_DIR, GOLDEN_EDGES
 
@@ -250,3 +250,13 @@ class TestGoldenCorpus:
 
     def test_isolated_class_was_discarded(self):
         assert "shop.util.Strings" not in self.corpus_graph().fqns
+
+
+def test_read_text_names_a_file_that_is_not_utf8(tmp_path):
+    """A file that is not UTF-8 used to escape as a UnicodeDecodeError."""
+    path = tmp_path / "latin1.chd"
+    path.write_bytes("class Caf\xe9 {}".encode("latin-1"))
+    with pytest.raises(FormatError, match="latin1.chd: not UTF-8"):
+        read_text(path)
+    path.write_bytes("class Café {}".encode("utf-8"))
+    assert read_text(path) == "class Café {}"

@@ -1,3 +1,6 @@
+import pytest
+
+from depnet import GraphError, detect
 from depnet.report import build_report
 
 
@@ -11,3 +14,17 @@ def test_run_settings_come_from_config(two_triangles):
         assert doc["algorithms"][algo]["runs"] == 3
         assert len(doc["algorithms"][algo]["q_values"]) == 3
     assert len(doc["algorithms"]["eb"]["q_values"]) == 1
+
+
+@pytest.mark.parametrize("key", ["runs", "eb_runs"])
+def test_zero_runs_rejected_before_any_detector(two_triangles, monkeypatch, key):
+    """--runs 0 used to run the whole of EB before run_batch refused it."""
+    def never(*args, **kwargs):
+        raise AssertionError("a detector ran")
+
+    for name in ("detect_eb", "detect_mo", "detect_lp"):
+        monkeypatch.setattr(detect, name, never)
+    config = {"runs": 3, "eb_runs": 1, "seed": 7, "xmin": 1,
+              "package_depth": None, key: 0}
+    with pytest.raises(GraphError, match="runs must be >= 1"):
+        build_report(two_triangles, config, b"")
