@@ -7,8 +7,8 @@ from .detect import (Dendrogram, detect_eb, detect_lp, detect_mo,
                      edge_betweenness, refine_packages)
 from .errors import (DepnetError, FormatError, GraphError, ParseError,
                      ResolveError, SizeCapError)
-from .graph import (ClassGraph, DependencyKind, Partition, WeightedGraph,
-                    build_graph, collapse_to_weighted, connected_components,
+from .graph import (ClassGraph, DependencyKind, Partition, build_graph,
+                    collapse_to_weighted, connected_components,
                     induced_subgraph, remove_isolated)
 from .headers import ClassDecl, TypeRef, parse_class_headers
 from .ingest import (ResolveOptions, load_edge_list, load_partition,
@@ -23,10 +23,10 @@ __all__ = [
     "BatchStats", "ClassDecl", "ClassGraph", "CommunityGraph", "Dendrogram",
     "DependencyKind", "DepnetError", "FormatError", "GraphError", "ParseError",
     "Partition", "ResolveError", "ResolveOptions", "SizeCapError",
-    "SizeDistribution", "TypeRef", "WeightedGraph", "build_graph",
-    "collapse_to_weighted", "community_network", "connected_components",
-    "detect_eb", "detect_lp", "detect_mo", "edge_betweenness", "export",
-    "fit_power_law", "induced_subgraph", "largest_components_filter",
+    "SizeDistribution", "TypeRef", "build_graph", "collapse_to_weighted",
+    "community_network", "connected_components", "detect_eb", "detect_lp",
+    "detect_mo", "edge_betweenness", "export", "fit_power_law",
+    "induced_subgraph", "largest_components_filter",
     "load_edge_list", "load_partition", "modularity", "nmi",
     "package_partition", "parse_class_headers", "parse_corpus",
     "refine_packages", "remove_isolated", "resolve_dependencies",

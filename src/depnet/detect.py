@@ -12,12 +12,11 @@ from __future__ import annotations
 import heapq
 import random
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from .errors import GraphError, SizeCapError
-from .graph import (ClassGraph, Partition, WeightedGraph, collapse_to_weighted,
+from .graph import (ClassGraph, Partition, collapse_to_weighted,
                     component_labels, modularity_numerator)
 
 EB_DEFAULT_EDGE_CAP = 5000
@@ -109,10 +108,11 @@ def _edge_betweenness(
     return {key: score / 2.0 for key, score in zip(keys, scores)}
 
 
-def edge_betweenness(wgraph: WeightedGraph) -> dict[tuple[int, int], float]:
-    """Edge betweenness of a simple graph; weights are not used as distances."""
-    adj = {u: set(wgraph.neighbors(u)) for u in range(wgraph.n_nodes)}
-    return _edge_betweenness(adj, range(wgraph.n_nodes))
+def edge_betweenness(graph: ClassGraph) -> dict[tuple[int, int], float]:
+    """Edge betweenness of the graph with parallel edges merged;
+    multiplicities are not used as distances."""
+    adj = {u: set(graph.neighbors(u)) for u in range(graph.n_nodes)}
+    return _edge_betweenness(adj, range(graph.n_nodes))
 
 
 def detect_eb(
@@ -140,14 +140,14 @@ def detect_eb(
     """
     if graph.n_nodes == 0:
         raise GraphError("empty graph")
-    collapsed = collapse_to_weighted(graph)
-    if collapsed.n_edges > max_edges:
+    n_edges = collapse_to_weighted(graph).n_edges
+    if n_edges > max_edges:
         raise SizeCapError(
-            f"collapsed graph has {collapsed.n_edges} edges "
+            f"collapsed graph has {n_edges} edges "
             f"(cap {max_edges}); use the MO or LP algorithm instead"
         )
-    n = collapsed.n_nodes
-    adj = {u: set(collapsed.neighbors(u)) for u in range(n)}
+    n = graph.n_nodes
+    adj = {u: set(graph.neighbors(u)) for u in range(n)}
     denom = 4 * graph.m ** 2 if graph.m else 1
 
     comp = component_labels(adj, range(n))
@@ -295,9 +295,10 @@ def _lp_sweeps(graph: ClassGraph, labels: list[Hashable],
     nodes = list(range(graph.n_nodes))
 
     def maximal_labels(node: int) -> list[Hashable]:
-        freq: Counter = Counter()
+        freq: dict[Hashable, int] = {}
         for neighbor, mult in graph.neighbors(node).items():
-            freq[labels[neighbor]] += mult
+            label = labels[neighbor]
+            freq[label] = freq.get(label, 0) + mult
         if not freq:
             return [labels[node]]
         top = max(freq.values())

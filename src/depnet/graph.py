@@ -125,7 +125,10 @@ class ClassGraph:
         n = len(self._fqns)
         norm = []
         degree = [0] * n
-        adj: list[Counter] = [Counter() for _ in range(n)]
+        # Exact dicts, not Counters: EB sums floats in the iteration order of
+        # sets built from these maps, and CPython lays out a set built from an
+        # exact dict differently from one built from a dict subclass.
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
         for u, v, kind in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge endpoint out of range: ({u}, {v})")
@@ -136,8 +139,8 @@ class ClassGraph:
             norm.append((u, v, kind))
             degree[u] += 1
             degree[v] += 1
-            adj[u][v] += 1
-            adj[v][u] += 1
+            adj[u][v] = adj[u].get(v, 0) + 1
+            adj[v][u] = adj[v].get(u, 0) + 1
         self._edges = tuple(norm)
         self._degree = tuple(degree)
         self._adj = tuple(adj)
@@ -159,6 +162,11 @@ class ClassGraph:
         return len(self._edges)
 
     @property
+    def n_edges(self) -> int:
+        """Adjacent node pairs: the edge count once parallel edges merge."""
+        return sum(map(len, self._adj)) // 2
+
+    @property
     def degree(self) -> tuple[int, ...]:
         return self._degree
 
@@ -171,45 +179,16 @@ class ClassGraph:
     def fqn_of(self, node: int) -> str:
         return self._fqns[node]
 
-    def neighbors(self, node: int) -> Counter:
-        """Neighbor -> edge multiplicity."""
+    def neighbors(self, node: int) -> dict[int, int]:
+        """Neighbor -> edge multiplicity: the node's edges with each bundle
+        of parallel edges collapsed into one weighted edge. Read-only."""
         return self._adj[node]
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self._adj[u][v]
+        return self._adj[u].get(v, 0)
 
     def __repr__(self) -> str:
         return f"ClassGraph({self.n_nodes} nodes, {self.m} edges)"
-
-
-class WeightedGraph:
-    """A ClassGraph with each bundle of parallel edges collapsed into one
-    edge weighted by its multiplicity."""
-
-    def __init__(self, graph: ClassGraph):
-        self.fqns = graph.fqns
-        # Plain dicts, not Counters: EB sums floats in the iteration order
-        # of sets built from these, and CPython sizes a set built from an
-        # exact dict differently from one built from a dict subclass.
-        self._adj = [dict(graph.neighbors(u)) for u in range(graph.n_nodes)]
-        self.n_edges = sum(map(len, self._adj)) // 2
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.fqns)
-
-    @property
-    def weights(self) -> dict[tuple[int, int], int]:
-        """(u, v) with u < v -> weight."""
-        return {(u, v): w for u, adj in enumerate(self._adj)
-                for v, w in adj.items() if u < v}
-
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights.values())
-
-    def neighbors(self, node: int) -> dict[int, int]:
-        return self._adj[node]
 
 
 def build_graph(
@@ -290,6 +269,8 @@ def induced_subgraph(graph: ClassGraph, node_set: Iterable[int]) -> ClassGraph:
     return ClassGraph(fqns, edges)
 
 
-def collapse_to_weighted(graph: ClassGraph) -> WeightedGraph:
-    """Merge parallel edges into a single edge weighted by multiplicity."""
-    return WeightedGraph(graph)
+def collapse_to_weighted(graph: ClassGraph) -> ClassGraph:
+    """The graph itself: its neighbour maps already merge each bundle of
+    parallel edges into one edge weighted by multiplicity. Kept as a name
+    because perfbench/tracer.py wraps it to count the merged edges."""
+    return graph

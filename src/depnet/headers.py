@@ -63,8 +63,9 @@ def position(source: str, pos: int) -> tuple[int, int]:
 class TypeRef:
     """A source type reference: possibly qualified base name plus type arguments.
 
-    Array dimensions decay to the element type at parse time; primitive and
-    void references are never stored on a ClassDecl.
+    Array dimensions decay to the element type at parse time. References to
+    void, a primitive or a type variable in scope are never stored on a
+    ClassDecl, at any depth of type arguments.
     """
 
     name: str
@@ -92,6 +93,9 @@ class ClassDecl:
     ctor_param_types: list[TypeRef] = field(default_factory=list)
     return_types: list[TypeRef] = field(default_factory=list)
     imports: list[str] = field(default_factory=list)
+    # Type variables in scope in the class body: the class's own and those of
+    # its enclosing classes. A generic method's own are in scope only in its
+    # signature and are not listed here.
     type_params: set[str] = field(default_factory=set)
     line: int = 0
 
@@ -193,6 +197,7 @@ class _Parser:
         self.package = ""
         self.imports: list[str] = []
         self.decls: list[ClassDecl] = []
+        self.type_vars: set[str] = set()  # type variables in scope here
 
     # -- token helpers ------------------------------------------------------
 
@@ -279,7 +284,10 @@ class _Parser:
                          imports=list(self.imports),
                          line=position(self.source, name_tok.pos)[0])
         if self.at_punct("<"):
-            decl.type_params |= self.type_param_names()
+            decl.type_params = self.type_param_names()
+        if outer is not None:
+            decl.type_params |= outer.type_params
+        self.type_vars = decl.type_params
         if self.at_word("extends"):
             self.next()
             decl.supertypes.extend(self.type_list())
@@ -315,10 +323,11 @@ class _Parser:
             return names
 
     def type_list(self) -> list[TypeRef]:
-        refs = [self.type_ref()]
+        refs: list[TypeRef] = []
+        self.store(refs, self.type_ref())
         while self.at_punct(","):
             self.next()
-            refs.append(self.type_ref())
+            self.store(refs, self.type_ref())
         return refs
 
     def type_ref(self) -> TypeRef:
@@ -328,7 +337,7 @@ class _Parser:
             if self.at_word("extends") or self.at_word("super"):
                 self.enter()
                 self.next()
-                ref.args.append(self.type_ref())
+                self.store(ref.args, self.type_ref())
                 self.depth -= 1
             return ref
         tok = self.peek()
@@ -346,10 +355,10 @@ class _Parser:
         if self.at_punct("<"):
             self.enter()
             self.next()
-            ref.args.append(self.type_ref())
+            self.store(ref.args, self.type_ref())
             while self.at_punct(","):
                 self.next()
-                ref.args.append(self.type_ref())
+                self.store(ref.args, self.type_ref())
             self.expect_punct(">")
             self.depth -= 1
         while self.at_punct("["):
@@ -363,8 +372,9 @@ class _Parser:
             self.type_decl(outer=decl)
             self.depth -= 1
             return
+        self.type_vars = decl.type_params
         if self.at_punct("<"):
-            decl.type_params |= self.type_param_names()
+            self.type_vars = self.type_vars | self.type_param_names()
         ref = self.type_ref()
         if self.at_punct("("):
             # Constructor: the "type" was the class name.
@@ -423,7 +433,10 @@ class _Parser:
             self.store(decl.return_types, return_ref)
 
     def store(self, bucket: list[TypeRef], ref: TypeRef) -> None:
-        if ref.name == "void" or ref.name in PRIMITIVES:
+        """Append ref unless it names void, a primitive or a type variable
+        in scope, none of which is ever a class."""
+        name = ref.name
+        if name == "void" or name in PRIMITIVES or name in self.type_vars:
             return
         bucket.append(ref)
 

@@ -21,8 +21,6 @@ EDGE_HEADER_PREFIX = "#depnet-edges v1 isolated="
 
 Dependency = tuple[str, str, DependencyKind]
 
-_SKIP = object()  # reference to a type variable: never a class node
-
 
 @dataclass(frozen=True)
 class ResolveOptions:
@@ -76,9 +74,7 @@ def resolve_dependencies(
 
     externals: dict[str, None] = {}
 
-    def resolve(name: str, decl: ClassDecl, imports: dict[str, str]):
-        if "." not in name and name in decl.type_params:
-            return _SKIP
+    def resolve(name: str, decl: ClassDecl, imports: dict[str, str]) -> str:
         if "." in name:
             return name  # qualified: exact match or external as written
         if name in imports:
@@ -115,8 +111,6 @@ def resolve_dependencies(
             for ref in refs:
                 for name in ref.flatten(opts.include_type_arguments):
                     target = resolve(name, decl, imports)
-                    if target is _SKIP:
-                        continue
                     if target not in by_fqn:
                         if not opts.keep_external:
                             continue

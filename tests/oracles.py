@@ -15,20 +15,24 @@ tokenizer, which tracks line and column for every token; the master-regex
 `tokenize` must give the same stream, with `position` for line and column.
 `largest_components_filter_reference` is the original component filter with
 its own union-find; the filter built on `component_labels` must give the
-same community graph.
+same community graph. `lp_sweeps_reference` is the original label-propagation
+sweep loop, which tallies neighbour labels in a `Counter`; `_lp_sweeps` must
+give the same labels and leave the rng in the same state.
 """
 
 import math
 import random
+import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Hashable
 
 from depnet import (ClassGraph, Dendrogram, DependencyKind, GraphError,
                     ParseError, Partition, SizeCapError, build_graph,
                     collapse_to_weighted)
 from depnet.abstract import Community, CommunityGraph
-from depnet.detect import EB_DEFAULT_EDGE_CAP, DendrogramLevel
+from depnet.detect import EB_DEFAULT_EDGE_CAP, LP_SWEEP_CAP, DendrogramLevel
 from depnet.graph import Label
 from depnet.headers import MODIFIERS
 from depnet.metrics import modularity_numerator
@@ -480,3 +484,43 @@ def largest_components_filter_reference(cgraph: CommunityGraph, k: int) -> Commu
     communities = tuple(c for c in cgraph.communities if c.label in keep)
     edges = tuple(e for e in cgraph.edges if e.a in keep and e.b in keep)
     return CommunityGraph(communities, edges)
+
+
+def lp_sweeps_reference(graph: ClassGraph, labels: list[Hashable],
+                        rng: random.Random) -> None:
+    """Asynchronous label-propagation sweeps until the fixpoint, in place.
+
+    A node adopts the label of maximal multiplicity-weighted frequency among
+    its neighbors, ties uniform under the rng. Nodes without neighbors keep
+    their label. At most LP_SWEEP_CAP sweeps run; if the labels are still
+    not at a fixpoint after the last one, a RuntimeWarning says so and the
+    current labels stand.
+    """
+    nodes = list(range(graph.n_nodes))
+
+    def maximal_labels(node: int) -> list[Hashable]:
+        freq: Counter = Counter()
+        for neighbor, mult in graph.neighbors(node).items():
+            freq[labels[neighbor]] += mult
+        if not freq:
+            return [labels[node]]
+        top = max(freq.values())
+        return [lbl for lbl, w in freq.items() if w == top]
+
+    def at_fixpoint() -> bool:
+        return all(labels[u] in maximal_labels(u) for u in nodes)
+
+    for _ in range(LP_SWEEP_CAP):
+        if at_fixpoint():
+            return
+        rng.shuffle(nodes)
+        for u in nodes:
+            candidates = sorted(maximal_labels(u), key=str)
+            labels[u] = candidates[rng.randrange(len(candidates))] \
+                if len(candidates) > 1 else candidates[0]
+    if not at_fixpoint():
+        warnings.warn(
+            f"label propagation hit the sweep cap ({LP_SWEEP_CAP}) before "
+            "reaching a fixpoint; returning the current labeling",
+            RuntimeWarning,
+        )

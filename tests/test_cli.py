@@ -63,6 +63,34 @@ class TestExtract:
         assert out.read_text() == "#depnet-edges v1 isolated=drop\n"
 
 
+    @pytest.mark.parametrize("files, args, expected", [
+        ({"A.chd": "package p; class A { <B> void f(B b); B field; }",
+          "B.chd": "package p; class B {}"},
+         [], "p.A\tp.B\tfield\n"),
+        ({"A.chd": "package p; class A<T> { class In { T t; E e; } }",
+          "E.chd": "package p; class E {}"},
+         ["--keep-external"], "p.A.In\tp.E\tfield\n"),
+        ({"A.chd": "package p; class A { List<int[]> x; "
+                   "Map<E, double[]> y; } class E {}"},
+         ["--keep-external", "--type-args"],
+         "List\tp.A\tfield\nMap\tp.A\tfield\np.A\tp.E\tfield\n"),
+    ], ids=["method-type-variable", "enclosing-type-variable",
+            "primitive-type-arguments"])
+    def test_type_variables_and_primitives(self, runner, tmp_path, files,
+                                           args, expected):
+        """Type variables are scoped as in Java and primitive type
+        arguments are no classes, so neither becomes a node."""
+        src = tmp_path / "src"
+        src.mkdir()
+        for name, text in files.items():
+            (src / name).write_text(text)
+        out = tmp_path / "edges.tsv"
+        result = runner.invoke(cli, ["extract", str(src), "--out", str(out),
+                                     *args])
+        assert result.exit_code == 0, result.output
+        assert out.read_text() == "#depnet-edges v1 isolated=drop\n" + expected
+
+
 class TestDetect:
     def test_mo_on_fixture(self, runner, network, tmp_path):
         out = tmp_path / "part.tsv"

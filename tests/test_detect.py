@@ -6,17 +6,19 @@ from collections import Counter
 
 import pytest
 
-from depnet import (GraphError, Partition, SizeCapError, collapse_to_weighted,
-                    connected_components, detect_eb, detect_lp, detect_mo,
-                    edge_betweenness, modularity, refine_packages)
+from depnet import (GraphError, Partition, SizeCapError, connected_components,
+                    detect_eb, detect_lp, detect_mo, edge_betweenness,
+                    modularity, refine_packages)
 from depnet import detect
-from depnet.detect import _edge_betweenness
+from depnet.detect import _edge_betweenness, _lp_sweeps
 from depnet.graph import component_labels
 
+import oracles
 from conftest import graph_from_pairs
 from oracles import (detect_eb_reference, detect_mo_reference,
-                     edge_betweenness_reference, random_multigraph,
-                     random_partition, random_sparse_multigraph)
+                     edge_betweenness_reference, lp_sweeps_reference,
+                     random_multigraph, random_partition,
+                     random_sparse_multigraph)
 
 TWO_TRIANGLES_Q = 5 / 14  # oracle-verified optimum of the bridged triangles
 
@@ -35,22 +37,21 @@ def clique_ring(n_cliques=4, clique_size=8):
 
 class TestEdgeBetweenness:
     def test_path(self):
-        w = collapse_to_weighted(graph_from_pairs([(0, 1), (1, 2)]))
-        scores = edge_betweenness(w)
+        scores = edge_betweenness(graph_from_pairs([(0, 1), (1, 2)]))
         assert scores[(0, 1)] == pytest.approx(2.0)
         assert scores[(1, 2)] == pytest.approx(2.0)
 
     def test_bridge_between_triangles(self, two_triangles):
-        scores = edge_betweenness(collapse_to_weighted(two_triangles))
+        scores = edge_betweenness(two_triangles)
         assert scores[(2, 3)] == pytest.approx(9.0)
 
     def test_single_edge(self):
-        scores = edge_betweenness(collapse_to_weighted(graph_from_pairs([(0, 1)])))
+        scores = edge_betweenness(graph_from_pairs([(0, 1)]))
         assert scores[(0, 1)] == pytest.approx(1.0)
 
     def test_equal_split_on_square(self):
         scores = edge_betweenness(
-            collapse_to_weighted(graph_from_pairs([(0, 1), (1, 2), (2, 3), (0, 3)])))
+            graph_from_pairs([(0, 1), (1, 2), (2, 3), (0, 3)]))
         # Each opposite pair splits its two shortest paths evenly.
         assert all(s == pytest.approx(2.0) for s in scores.values())
 
@@ -220,10 +221,9 @@ def assert_eb_matches_reference(graph):
     assert_same_partition(part, ref_part)
     assert dendro.levels == ref_dendro.levels
     assert dendro.best_index == ref_dendro.best_index
-    collapsed = collapse_to_weighted(graph)
-    adj = {u: set(collapsed.neighbors(u)) for u in range(graph.n_nodes)}
+    adj = {u: set(graph.neighbors(u)) for u in range(graph.n_nodes)}
     ref_scores = edge_betweenness_reference(adj)
-    assert edge_betweenness(collapsed) == ref_scores
+    assert edge_betweenness(graph) == ref_scores
     # Scoring each component on its own gives the whole-graph floats.
     labels = component_labels(adj, range(graph.n_nodes))
     local: dict = {}
@@ -281,12 +281,12 @@ def test_edge_betweenness_matches_networkx():
     for _ in range(12):
         n = rng.randint(2, 300)
         g = random_sparse_multigraph(rng, n, rng.choice([0.4, 0.8, 1.5, 3.0]))
-        collapsed = collapse_to_weighted(g)
         reference = nx.Graph()
         reference.add_nodes_from(range(n))
-        reference.add_edges_from(collapsed.weights)
+        reference.add_edges_from((u, v) for u in range(n) for v in g.neighbors(u))
+        assert reference.number_of_edges() == g.n_edges
         expected = nx.edge_betweenness_centrality(reference, normalized=False)
-        scores = edge_betweenness(collapsed)
+        scores = edge_betweenness(g)
         assert len(scores) == len(expected)
         for (u, v), value in expected.items():
             key = (u, v) if u < v else (v, u)
@@ -379,6 +379,72 @@ class TestSweepCap:
             assert [w.category for w in caught] == [RuntimeWarning] * expected
             hits += expected
         assert hits >= 5
+
+
+def assert_lp_matches_reference(graph, labels, seed):
+    """`_lp_sweeps` against the Counter-tallied original: the same labels,
+    compared by repr so that 1 and True stay apart, the same warnings, and
+    the rng left in the same state."""
+    runs = []
+    for sweeps in (_lp_sweeps, lp_sweeps_reference):
+        out, rng = list(labels), random.Random(seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweeps(graph, out, rng)
+        runs.append(([repr(x) for x in out], rng.getstate(),
+                     [(w.category, str(w.message)) for w in caught]))
+    assert runs[0] == runs[1]
+
+
+class TestLPMatchesReference:
+    def test_random_multigraphs_with_isolated_nodes(self):
+        rng = random.Random(2008)
+        for _ in range(150):
+            n = rng.randint(2, 80)
+            g = random_sparse_multigraph(rng, n, rng.choice([0.3, 0.8, 2.0, 5.0]))
+            assert_lp_matches_reference(g, list(range(n)), rng.randrange(1 << 32))
+
+    def test_string_labels_through_refine(self):
+        rng = random.Random(2009)
+        for _ in range(60):
+            n = rng.randint(2, 60)
+            g = random_sparse_multigraph(rng, n, rng.choice([0.5, 1.5, 4.0]))
+            initial = [f"p{rng.randrange(1 + n // 4)}" for _ in range(n)]
+            seed = rng.randrange(1 << 32)
+            assert_lp_matches_reference(g, initial, seed)
+            expected = list(initial)
+            lp_sweeps_reference(g, expected, random.Random(seed))
+            assert refine_packages(g, Partition(initial), seed) == Partition(expected)
+
+    def test_detect_lp_matches(self):
+        rng = random.Random(2010)
+        for _ in range(30):
+            g = random_multigraph(rng, max_nodes=40, max_edges=80)
+            seed = rng.randrange(1 << 32)
+            expected = list(range(g.n_nodes))
+            lp_sweeps_reference(g, expected, random.Random(seed))
+            assert detect_lp(g, seed) == Partition(expected).relabel_dense()
+
+    def test_sweep_cap_and_warning(self, monkeypatch):
+        monkeypatch.setattr(detect, "LP_SWEEP_CAP", 2)
+        monkeypatch.setattr(oracles, "LP_SWEEP_CAP", 2)
+        path = graph_from_pairs([(u, u + 1) for u in range(40)])
+        rng = random.Random(2011)
+        for seed in range(20):
+            assert_lp_matches_reference(path, list(range(41)), seed)
+            g = random_sparse_multigraph(rng, 50, 1.5)
+            assert_lp_matches_reference(g, list(range(50)), seed)
+
+    def test_labels_equal_across_types(self):
+        """1, True and 1.0 are one dict key, and the first one tallied
+        stands for all; "1" is another key that sorts equal under str."""
+        rng = random.Random(2012)
+        pool = [1, True, 1.0, "1", 0, False, "True", 2]
+        for _ in range(80):
+            n = rng.randint(2, 30)
+            g = random_sparse_multigraph(rng, n, rng.choice([0.8, 2.0]))
+            initial = [rng.choice(pool) for _ in range(n)]
+            assert_lp_matches_reference(g, initial, rng.randrange(1 << 32))
 
 
 class TestRefine:

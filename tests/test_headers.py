@@ -80,10 +80,43 @@ def test_generics_recorded_as_arguments():
 
 
 def test_type_parameters_collected():
+    """A class lists its own type variables; a generic method's are scoped
+    to its signature and are not listed."""
     decl = parse_class_headers(
         "class Box<T> { T value; <U> U pick(U a, T b); }"
     )[0]
-    assert decl.type_params == {"T", "U"}
+    assert decl.type_params == {"T"}
+    assert decl.field_types == decl.param_types == decl.return_types == []
+
+
+def test_method_type_variable_scoped_to_its_method():
+    decl = parse_class_headers(
+        "package p; class A { <B> void f(B b); B field; <C> C g(); C h(); }")[0]
+    assert decl.type_params == set()
+    assert refs(decl.param_types) == []
+    assert refs(decl.field_types) == ["B"]
+    assert refs(decl.return_types) == ["C"]
+
+
+def test_member_class_sees_enclosing_type_variables():
+    inner, outer = parse_class_headers(
+        "class A<T> { class In<U> { T t; U u; Map<T, List<U>> m; V v; } T x; }")
+    assert inner.fqn == "A.In"
+    assert inner.type_params == {"T", "U"}
+    assert outer.type_params == {"T"}
+    assert refs(inner.field_types) == ["Map", "V"]
+    assert inner.field_types[0].flatten(include_args=True) == ["Map", "List"]
+    assert outer.field_types == []
+
+
+def test_primitive_type_arguments_dropped():
+    decl = parse_class_headers(
+        "class A { List<int[]> x; Map<String, double[]> y; "
+        "Opt<? extends long[]> z; <T> List<T> f(Map<T, boolean> m); }")[0]
+    assert [r.flatten(include_args=True) for r in decl.field_types] == [
+        ["List"], ["Map", "String"], ["Opt"]]
+    assert [r.flatten(include_args=True) for r in decl.param_types] == [["Map"]]
+    assert [r.flatten(include_args=True) for r in decl.return_types] == [["List"]]
 
 
 def test_arrays_decay():

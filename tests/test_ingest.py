@@ -119,6 +119,25 @@ class TestResolve:
         _, deps = resolve_dependencies(decls)
         assert deps == []
 
+    def test_method_type_variable_does_not_hide_a_class(self):
+        decls = decls_of("package p; class A { <B> void f(B b); B field; }",
+                         "package p; class B {}")
+        _, deps = resolve_dependencies(decls)
+        assert deps == [("p.A", "p.B", F)]
+
+    def test_enclosing_type_variable_is_no_external_node(self):
+        decls = decls_of("class A<T> { class In { T t; List<T> ts; } }")
+        fqns, deps = resolve_dependencies(decls, ResolveOptions(
+            keep_external=True, include_type_arguments=True))
+        assert fqns == ["A", "A.In", "List"]
+        assert deps == [("A.In", "List", F)]
+
+    def test_primitive_type_arguments_are_no_external_nodes(self):
+        decls = decls_of("class A { List<int[]> x; Map<String, double[]> y; }")
+        fqns, _ = resolve_dependencies(decls, ResolveOptions(
+            keep_external=True, include_type_arguments=True))
+        assert fqns == ["A", "List", "Map", "String"]
+
     def test_qualified_reference_resolves_exactly(self):
         decls = decls_of(
             "package p; class Foo { q.Baz f; }",

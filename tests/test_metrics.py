@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depnet import (GraphError, Partition, build_graph, collapse_to_weighted,
-                    connected_components, detect_lp, detect_mo,
-                    fit_power_law, induced_subgraph, modularity, nmi,
-                    run_batch, size_distribution, split_disconnected)
+from depnet import (GraphError, Partition, build_graph, connected_components,
+                    detect_lp, detect_mo, fit_power_law, induced_subgraph,
+                    modularity, nmi, run_batch, size_distribution,
+                    split_disconnected)
 from depnet.graph import DependencyKind
 from depnet.metrics import package_analysis
 
@@ -163,8 +163,10 @@ class TestAgainstNetworkx:
     def simple_graph(nx, g):
         h = nx.Graph()
         h.add_nodes_from(range(g.n_nodes))
-        for (u, v), w in collapse_to_weighted(g).weights.items():
-            h.add_edge(u, v, weight=w)
+        for u in range(g.n_nodes):
+            for v, w in g.neighbors(u).items():
+                h.add_edge(u, v, weight=w)
+        assert h.number_of_edges() == g.n_edges
         return h
 
     def test_modularity(self):
