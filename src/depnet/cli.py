@@ -109,11 +109,11 @@ def cmd_detect(network, algo, runs, seed, package_depth, out):
     """Run one detection algorithm; write the best-Q partition and stats."""
     graph = _load_graph(network)
     reference = package_partition(graph, package_depth)
-    stats, best = run_batch(graph, algo, runs, seed, reference)
+    record, best = run_batch(graph, algo, runs, seed, reference)
     if out:
         with open(out, "w", encoding="utf-8") as stream:
             write_partition(best, graph, stream)
-    click.echo(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
+    click.echo(json.dumps(record, indent=2, sort_keys=True))
 
 
 @cli.command("metrics")
@@ -149,7 +149,7 @@ def cmd_metrics(network, partitions, xmin, package_depth, out):
             for i, a in enumerate(pairs) for b in pairs[i + 1:]
         },
         "size_distributions": {
-            name: size_distribution(part, xmin).to_dict()
+            name: size_distribution(part, xmin)
             for name, part in named.items()
         },
         "disconnected_packages": disconnected,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -48,15 +47,14 @@ _ANNOTATION_ATOM = re.compile(r"[()] | " + _LITERAL + r""" | (["'])""",
                               re.VERBOSE | re.DOTALL)
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "punct", "literal", "eof"
-    value: str
-    pos: int  # offset of the first character in the source
-
-
 def position(source: str, pos: int) -> tuple[int, int]:
     """1-based (line, column) of offset pos; only "\\n" ends a line."""
     return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
+
+
+def _is_identifier(text: str) -> bool:
+    """True for an identifier token: its text starts with a letter, _ or $."""
+    return text[:1].isalpha() or text[:1] in ("_", "$")
 
 
 @dataclass
@@ -86,7 +84,6 @@ class ClassDecl:
 
     fqn: str
     package: str
-    is_interface: bool = False
     supertypes: list[TypeRef] = field(default_factory=list)
     field_types: list[TypeRef] = field(default_factory=list)
     param_types: list[TypeRef] = field(default_factory=list)
@@ -104,29 +101,32 @@ class ClassDecl:
         return self.fqn.rsplit(".", 1)[-1]
 
 
-def tokenize(source: str, filename: str | None = None) -> list[Token]:
+def tokenize(source: str, filename: str | None = None) -> list[tuple[str, int]]:
     """Produce the token stream, skipping comments, modifiers and annotations.
 
-    One compiled pattern is matched at each offset. It skips whitespace and
-    comments, then takes a word ``[\\w$]+``, punctuation (``...`` included),
-    a string or char literal, or ``@``. A word that starts with a letter,
-    ``_`` or ``$`` is an identifier, and dropped if it is a modifier; one that
-    starts with a digit is re-read as a numeric literal ``[\\w$.]+``; any
-    other start is an unexpected character. An annotation is ``@`` and a name,
-    then an optional ``(...)`` right after it; it yields no token. Inside
-    the parentheses, string and char literals are skipped whole and every
-    other character is skipped raw, so only parentheses outside literals
-    count.
+    A token is the pair (text, offset of its first character), and the
+    stream ends with ("", len(source)). One compiled pattern is matched at
+    each offset. It skips whitespace and comments, then takes a word
+    ``[\\w$]+``, punctuation (``...`` included), a string or char literal,
+    or ``@``. A word that starts with a letter, ``_`` or ``$`` is an
+    identifier, and dropped if it is a modifier; one that starts with a digit
+    is re-read as a numeric literal ``[\\w$.]+``; any other start is an
+    unexpected character. So no identifier or literal text equals a
+    punctuation string or "", and the parser tells tokens apart by their
+    text alone. An annotation is ``@`` and a name, then an optional
+    ``(...)`` right after it; it yields no token. Inside the parentheses,
+    string and char literals are skipped whole and every other character is
+    skipped raw, so only parentheses outside literals count.
 
-    Each token holds the offset of its first character; ``position`` turns an
-    offset into a line and column, which only errors and ``ClassDecl.line``
-    need. ParseError is raised for an unexpected character, an unterminated
-    block comment, an unterminated string or char literal (one ending in a
-    backslash at end of input included, and a quote in annotation arguments
-    that starts no complete literal), an ``@`` with no name, and an
-    annotation whose ``(`` is never closed ("unterminated annotation").
+    ``position`` turns an offset into a line and column, which only errors
+    and ``ClassDecl.line`` need. ParseError is raised for an unexpected
+    character, an unterminated block comment, an unterminated string or char
+    literal (one ending in a backslash at end of input included, and a quote
+    in annotation arguments that starts no complete literal), an ``@`` with
+    no name, and an annotation whose ``(`` is never closed ("unterminated
+    annotation").
     """
-    tokens: list[Token] = []
+    tokens: list[tuple[str, int]] = []
     append = tokens.append
     match = _TOKEN.match
     n = len(source)
@@ -153,20 +153,18 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
             if ch.isalpha() or ch in "_$":
                 word = source[start:i]
                 if word not in MODIFIERS:
-                    append(Token("ident", word, start))
+                    append((word, start))
             elif ch.isdigit():
                 # Numeric literal; only ever skipped, so lex permissively.
                 i = _DOTTED.match(source, start).end()
-                append(Token("literal", source[start:i], start))
+                append((source[start:i], start))
             else:
                 raise err(f"unexpected character {ch!r}", start)
-        elif group == 2:
-            append(Token("punct", source[start:i], start))
-        elif group == 3:
-            append(Token("literal", source[start:i], start))
+        elif group in (2, 3):
+            append((source[start:i], start))
         else:
             end = _DOTTED.match(source, i).end()
-            if end == i or not (source[i].isalpha() or source[i] in "_$"):
+            if not _is_identifier(source[i:end]):
                 raise err("expected annotation name after '@'", i)
             if source.startswith("(", end):
                 depth = 0
@@ -182,12 +180,12 @@ def tokenize(source: str, filename: str | None = None) -> list[Token]:
                     raise err("unterminated annotation", end)
                 end = atom.end()
             i = end
-    append(Token("eof", "", n))
+    append(("", n))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str,
+    def __init__(self, tokens: list[tuple[str, int]], source: str,
                  filename: str | None = None):
         self.tokens = tokens
         self.source = source
@@ -201,30 +199,25 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> str:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][0]
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, *position(self.source, tok.pos), self.filename)
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos][0] == text
 
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """ParseError at token `index`, by default the current one."""
+        offset = self.tokens[self.pos if index is None else index][1]
+        return ParseError(message, *position(self.source, offset), self.filename)
 
-    def at_word(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == value
-
-    def expect_punct(self, value: str) -> Token:
-        if not self.at_punct(value):
-            raise self.error(f"expected {value!r}, found {self.peek().value!r}")
-        return self.next()
+    def expect(self, text: str) -> None:
+        if not self.at(text):
+            raise self.error(f"expected {text!r}, found {self.peek()!r}")
+        self.pos += 1
 
     def enter(self) -> None:
         """Open one nesting level at the current token."""
@@ -232,27 +225,28 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise self.error("nesting too deep")
 
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value in KEYWORDS:
-            raise self.error(f"expected identifier, found {tok.value!r}")
-        return self.next()
+    def expect_ident(self) -> str:
+        text = self.peek()
+        if not _is_identifier(text) or text in KEYWORDS:
+            raise self.error(f"expected identifier, found {text!r}")
+        self.pos += 1
+        return text
 
     # -- grammar ------------------------------------------------------------
 
     def parse_unit(self) -> list[ClassDecl]:
-        if self.at_word("package"):
+        if self.at("package"):
             self.next()
             self.package = self.qualified_name()
-            self.expect_punct(";")
-        while self.at_word("import"):
+            self.expect(";")
+        while self.at("import"):
             self.next()
             name = self.qualified_name()
-            self.expect_punct(";")
+            self.expect(";")
             self.imports.append(name)
-        if self.peek().kind == "eof":
+        if self.at(""):
             raise self.error("expected class or interface declaration")
-        while self.peek().kind != "eof":
+        while not self.at(""):
             self.type_decl(outer=None)
         seen: set[str] = set()
         for decl in self.decls:
@@ -263,169 +257,180 @@ class _Parser:
         return self.decls
 
     def qualified_name(self) -> str:
-        parts = [self.expect_ident().value]
-        while self.at_punct("."):
+        parts = [self.expect_ident()]
+        while self.at("."):
             self.next()
-            parts.append(self.expect_ident().value)
+            parts.append(self.expect_ident())
         return ".".join(parts)
 
     def type_decl(self, outer: ClassDecl | None) -> None:
-        tok = self.peek()
-        if not (self.at_word("class") or self.at_word("interface")):
-            raise self.error(f"expected 'class' or 'interface', found {tok.value!r}")
-        is_interface = tok.value == "interface"
+        if self.peek() not in ("class", "interface"):
+            raise self.error(
+                f"expected 'class' or 'interface', found {self.peek()!r}")
         self.next()
-        name_tok = self.expect_ident()
+        offset = self.tokens[self.pos][1]
+        name = self.expect_ident()
         if outer is None:
-            fqn = f"{self.package}.{name_tok.value}" if self.package else name_tok.value
+            fqn = f"{self.package}.{name}" if self.package else name
         else:
-            fqn = f"{outer.fqn}.{name_tok.value}"
-        decl = ClassDecl(fqn=fqn, package=self.package, is_interface=is_interface,
+            fqn = f"{outer.fqn}.{name}"
+        decl = ClassDecl(fqn=fqn, package=self.package,
                          imports=list(self.imports),
-                         line=position(self.source, name_tok.pos)[0])
-        if self.at_punct("<"):
+                         line=position(self.source, offset)[0])
+        if self.at("<"):
             decl.type_params = self.type_param_names()
         if outer is not None:
             decl.type_params |= outer.type_params
         self.type_vars = decl.type_params
-        if self.at_word("extends"):
+        if self.at("extends"):
             self.next()
-            decl.supertypes.extend(self.type_list())
-        if self.at_word("implements"):
+            decl.supertypes.extend(self.supertypes())
+        if self.at("implements"):
             self.next()
-            decl.supertypes.extend(self.type_list())
-        self.expect_punct("{")
-        while not self.at_punct("}"):
-            if self.peek().kind == "eof":
+            decl.supertypes.extend(self.supertypes())
+        self.expect("{")
+        while not self.at("}"):
+            if self.at(""):
                 raise self.error("unexpected end of input in class body")
             self.member(decl)
         self.next()  # closing brace
         self.decls.append(decl)
 
     def type_param_names(self) -> set[str]:
-        """Parse <T, U extends Bound & Other, ...>; bound types are discarded."""
-        self.expect_punct("<")
+        """Parse <T, U extends Bound & Other, ...>. Bound types are discarded,
+        so no type variable counts as in scope in them."""
+        self.expect("<")
+        self.type_vars = set()
         names: set[str] = set()
         while True:
-            names.add(self.expect_ident().value)
-            if self.at_word("extends"):
+            names.add(self.expect_ident())
+            if self.at("extends"):
                 self.enter()
                 self.next()
                 self.type_ref()
-                while self.at_punct("&"):
+                while self.at("&"):
                     self.next()
                     self.type_ref()
                 self.depth -= 1
-            if self.at_punct(","):
+            if self.at(","):
                 self.next()
                 continue
-            self.expect_punct(">")
+            self.expect(">")
             return names
 
-    def type_list(self) -> list[TypeRef]:
+    def supertypes(self) -> list[TypeRef]:
+        """Parse the type list after extends or implements; a type variable
+        in scope is no class to extend."""
         refs: list[TypeRef] = []
-        self.store(refs, self.type_ref())
-        while self.at_punct(","):
+        while True:
+            start = self.pos
+            ref = self.type_ref()
+            if ref.name in self.type_vars:
+                raise self.error(
+                    f"type variable {ref.name!r} used as a supertype", start)
+            self.store(refs, ref)
+            if not self.at(","):
+                return refs
             self.next()
-            self.store(refs, self.type_ref())
-        return refs
 
     def type_ref(self) -> TypeRef:
-        if self.at_punct("?"):
+        if self.at("?"):
             self.next()
             ref = TypeRef("?")
-            if self.at_word("extends") or self.at_word("super"):
+            if self.at("extends") or self.at("super"):
                 self.enter()
                 self.next()
                 self.store(ref.args, self.type_ref())
                 self.depth -= 1
             return ref
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected type, found {tok.value!r}")
-        if tok.value == "void":
+        text = self.peek()
+        if not _is_identifier(text):
+            raise self.error(f"expected type, found {text!r}")
+        if text == "void":
             self.next()
             return TypeRef("void")
-        if tok.value in PRIMITIVES:
+        if text in PRIMITIVES:
             self.next()
-            name = tok.value
-            ref = TypeRef(name)
+            ref = TypeRef(text)
         else:
             ref = TypeRef(self.qualified_name())
-        if self.at_punct("<"):
+        if self.at("<"):
+            if ref.name in PRIMITIVES or ref.name in self.type_vars:
+                kind = "primitive" if ref.name in PRIMITIVES else "type variable"
+                raise self.error(f"type arguments on {kind} {ref.name!r}")
             self.enter()
             self.next()
             self.store(ref.args, self.type_ref())
-            while self.at_punct(","):
+            while self.at(","):
                 self.next()
                 self.store(ref.args, self.type_ref())
-            self.expect_punct(">")
+            self.expect(">")
             self.depth -= 1
-        while self.at_punct("["):
+        while self.at("["):
             self.next()
-            self.expect_punct("]")  # arrays decay to the element type
+            self.expect("]")  # arrays decay to the element type
         return ref
 
     def member(self, decl: ClassDecl) -> None:
-        if self.at_word("class") or self.at_word("interface"):
+        if self.peek() in ("class", "interface"):
             self.enter()
             self.type_decl(outer=decl)
             self.depth -= 1
             return
         self.type_vars = decl.type_params
-        if self.at_punct("<"):
-            self.type_vars = self.type_vars | self.type_param_names()
+        if self.at("<"):
+            self.type_vars = decl.type_params | self.type_param_names()
         ref = self.type_ref()
-        if self.at_punct("("):
+        if self.at("("):
             # Constructor: the "type" was the class name.
             if ref.name != decl.simple_name:
                 raise self.error(f"unexpected '(' after {ref.name!r}")
             self.method_tail(decl, return_ref=None, is_ctor=True)
             return
-        name_tok = self.expect_ident()
-        if self.at_punct("("):
+        self.expect_ident()
+        if self.at("("):
             self.method_tail(decl, return_ref=ref)
             return
         # Field declaration, possibly multi-name with initializers.
         self.store(decl.field_types, ref)
         while True:
-            if self.at_punct("="):
+            if self.at("="):
                 self.skip_initializer()
-            if self.at_punct(","):
+            if self.at(","):
                 self.next()
                 self.expect_ident()
                 self.store(decl.field_types, ref)
                 continue
-            self.expect_punct(";")
+            self.expect(";")
             return
 
     def method_tail(self, decl: ClassDecl, return_ref: TypeRef | None,
                     is_ctor: bool = False) -> None:
         """Parse '(params) [throws ...] (; | {body})' and record the types."""
-        self.expect_punct("(")
+        self.expect("(")
         params: list[TypeRef] = []
-        if not self.at_punct(")"):
+        if not self.at(")"):
             while True:
                 params.append(self.type_ref())
-                if self.at_punct("..."):
+                if self.at("..."):
                     self.next()
-                if self.peek().kind == "ident" and self.peek().value not in KEYWORDS:
+                if _is_identifier(self.peek()) and self.peek() not in KEYWORDS:
                     self.next()  # parameter name is optional
-                if self.at_punct(","):
+                if self.at(","):
                     self.next()
                     continue
                 break
-        self.expect_punct(")")
-        if self.at_word("throws"):
+        self.expect(")")
+        if self.at("throws"):
             self.next()
             self.qualified_name()
-            while self.at_punct(","):
+            while self.at(","):
                 self.next()
                 self.qualified_name()
-        if self.at_punct("{"):
+        if self.at("{"):
             self.skip_block()
         else:
-            self.expect_punct(";")
+            self.expect(";")
         bucket = decl.ctor_param_types if is_ctor else decl.param_types
         for param in params:
             self.store(bucket, param)
@@ -443,31 +448,30 @@ class _Parser:
     def skip_block(self) -> None:
         depth = 0
         while True:
-            tok = self.next()
-            if tok.kind == "eof":
-                raise self.error("unterminated block", tok)
-            if tok.kind == "punct" and tok.value == "{":
+            if self.at(""):
+                raise self.error("unterminated block")
+            text = self.next()
+            if text == "{":
                 depth += 1
-            elif tok.kind == "punct" and tok.value == "}":
+            elif text == "}":
                 depth -= 1
                 if depth == 0:
                     return
 
     def skip_initializer(self) -> None:
         """Skip '= ...' up to the terminating ';' or ',' at nesting depth 0."""
-        self.expect_punct("=")
+        self.expect("=")
         depth = 0
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            text = self.peek()
+            if text == "":
                 raise self.error("unterminated field initializer")
-            if tok.kind == "punct":
-                if tok.value in "{([":
-                    depth += 1
-                elif tok.value in "})]":
-                    depth -= 1
-                elif tok.value in ";," and depth == 0:
-                    return
+            if text in ("{", "(", "["):
+                depth += 1
+            elif text in ("}", ")", "]"):
+                depth -= 1
+            elif text in (";", ",") and depth == 0:
+                return
             self.next()
 
 
@@ -476,7 +480,10 @@ def parse_class_headers(source_text: str, filename: str | None = None) -> list[C
 
     Generic arguments, wildcard and type-parameter bounds and nested classes
     nested more than MAX_NESTING levels deep raise ParseError("nesting too
-    deep") at the token that opens the level past the cap.
+    deep") at the token that opens the level past the cap. As in Java, type
+    arguments on a primitive, or on a type variable in scope outside
+    type-parameter bounds, raise ParseError at their ``<``, and a type
+    variable in scope as a supertype raises it at the variable.
     """
     tokens = tokenize(source_text, filename)
     return _Parser(tokens, source_text, filename).parse_unit()

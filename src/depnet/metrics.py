@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import detect
 from .errors import GraphError
@@ -95,41 +94,22 @@ def package_analysis(
     return packages, packages_plus, disconnected
 
 
-@dataclass
-class SizeDistribution:
-    """Block-size multiset with its CCDF and an optional power-law exponent."""
-
-    sizes: list[int]
-    ccdf: dict[int, float]
-    alpha: float | None = None
-    xmin: int = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "sizes": self.sizes,
-            "ccdf": [[s, self.ccdf[s]] for s in sorted(self.ccdf)],
-            "alpha": self.alpha,
-            "xmin": self.xmin,
-        }
-
-
-def size_distribution(partition: Partition, xmin: int = 1) -> SizeDistribution:
-    """Sizes of the partition's blocks with the fraction of blocks >= each
-    size; raises GraphError for xmin < 1 (see `fit_power_law`)."""
+def size_distribution(partition: Partition, xmin: int = 1) -> dict:
+    """The report's record of the partition's block sizes: ``sizes``,
+    ``ccdf`` ([size, fraction of blocks >= size] pairs by ascending size),
+    ``alpha`` (see `fit_power_law`, which raises GraphError for xmin < 1)
+    and ``xmin``."""
     if len(partition) == 0:
         raise GraphError("empty partition")
     sizes = partition.block_sizes()
     total = len(sizes)
-    ccdf = {
-        s: sum(1 for t in sizes if t >= s) / total
-        for s in sorted(set(sizes))
+    return {
+        "sizes": sizes,
+        "ccdf": [[s, sum(1 for t in sizes if t >= s) / total]
+                 for s in sorted(set(sizes))],
+        "alpha": fit_power_law(sizes, xmin),
+        "xmin": xmin,
     }
-    return SizeDistribution(
-        sizes=sizes,
-        ccdf=ccdf,
-        alpha=fit_power_law(sizes, xmin),
-        xmin=xmin,
-    )
 
 
 def _hurwitz_zeta(s: float, a: int) -> float:
@@ -181,66 +161,29 @@ def fit_power_law(sizes, xmin: int = 1) -> float | None:
     return alpha
 
 
-@dataclass
-class BatchStats:
-    """Aggregate of seeded detection runs against a reference partition."""
-
-    algorithm: str
-    q_values: list[float] = field(default_factory=list)
-    nmi_values: list[float] = field(default_factory=list)
-
-    @property
-    def mean_q(self) -> float:
-        return sum(self.q_values) / len(self.q_values)
-
-    @property
-    def max_q(self) -> float:
-        return max(self.q_values)
-
-    @property
-    def peak_nmi(self) -> float:
-        return max(self.nmi_values)
-
-    @property
-    def significant(self) -> bool:
-        return self.mean_q >= SIGNIFICANT_Q
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "runs": len(self.q_values),
-            "q_values": self.q_values,
-            "mean_q": self.mean_q,
-            "max_q": self.max_q,
-            "nmi_values": self.nmi_values,
-            "peak_nmi": self.peak_nmi,
-            "significant": self.significant,
-        }
-
-
 def run_batch(
     graph: ClassGraph,
     algorithm: str,
     runs: int,
     base_seed: int,
     reference: Partition,
-) -> tuple[BatchStats, Partition]:
+) -> tuple[dict, Partition]:
     """Run `runs` seeded detections (seeds base, base+1, ...) and aggregate.
 
-    Returns the stats plus the best-Q run's partition. EB is deterministic
-    and executes exactly once regardless of `runs`.
+    Returns the report's batch record (``algorithm``, ``runs``, per-run
+    ``q_values`` and ``nmi_values`` against `reference`, ``mean_q``,
+    ``max_q``, ``peak_nmi`` and ``significant``) and the best-Q run's
+    partition. EB is deterministic and executes exactly once regardless of
+    `runs`.
     """
     if runs < 1:
         raise GraphError("runs must be >= 1")
-    stats = BatchStats(algorithm=algorithm)
-    best_q = -math.inf
-    best_partition: Partition | None = None
-    if algorithm == "eb":
-        seeds = [base_seed]
-    elif algorithm in ("mo", "lp"):
-        seeds = [base_seed + i for i in range(runs)]
-    else:
+    if algorithm not in ("eb", "mo", "lp"):
         raise GraphError(f"unknown algorithm {algorithm!r}")
+    seeds = [base_seed] if algorithm == "eb" else range(base_seed, base_seed + runs)
+    q_values: list[float] = []
+    nmi_values: list[float] = []
+    best_q, best = -math.inf, None
     for seed in seeds:
         if algorithm == "eb":
             partition, _ = detect.detect_eb(graph)
@@ -249,10 +192,18 @@ def run_batch(
         else:
             partition = detect.detect_lp(graph, seed)
         q = modularity(graph, partition)
-        stats.q_values.append(q)
-        stats.nmi_values.append(nmi(partition, reference))
+        q_values.append(q)
+        nmi_values.append(nmi(partition, reference))
         if q > best_q:
-            best_q = q
-            best_partition = partition
-    assert best_partition is not None
-    return stats, best_partition
+            best_q, best = q, partition
+    mean_q = sum(q_values) / len(q_values)
+    return {
+        "algorithm": algorithm,
+        "runs": len(q_values),
+        "q_values": q_values,
+        "mean_q": mean_q,
+        "max_q": max(q_values),
+        "nmi_values": nmi_values,
+        "peak_nmi": max(nmi_values),
+        "significant": mean_q >= SIGNIFICANT_Q,
+    }, best

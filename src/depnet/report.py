@@ -114,17 +114,16 @@ def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
         package_analysis(graph, config["package_depth"])
 
     algo_section: dict[str, dict] = {}
-    distributions = {"packages": size_distribution(packages, xmin).to_dict()}
+    distributions = {"packages": size_distribution(packages, xmin)}
     for algo in ("eb", "mo", "lp"):
         runs = config["eb_runs" if algo == "eb" else "runs"]
         try:
-            stats, best = run_batch(graph, algo, runs, config["seed"], packages)
+            record, best = run_batch(graph, algo, runs, config["seed"], packages)
         except SizeCapError as exc:
             algo_section[algo] = {"skipped": str(exc)}
             continue
-        algo_section[algo] = stats.to_dict()
-        distributions[f"communities_{algo}"] = \
-            size_distribution(best, xmin).to_dict()
+        algo_section[algo] = record
+        distributions[f"communities_{algo}"] = size_distribution(best, xmin)
 
     return {
         "config": config,

@@ -213,9 +213,9 @@ def test_criterion_11_reference_network_cross_check():
     reference = package_partition(graph)
     summary = {}
     for algo in ("mo", "lp"):
-        stats, _ = run_batch(graph, algo, runs=10, base_seed=42,
-                             reference=reference)
-        summary[algo] = stats.mean_q
-        assert 0.40 <= stats.mean_q <= 0.80
-        assert stats.significant
+        record, _ = run_batch(graph, algo, runs=10, base_seed=42,
+                              reference=reference)
+        summary[algo] = record["mean_q"]
+        assert 0.40 <= record["mean_q"] <= 0.80
+        assert record["significant"]
     report(11, json.dumps(summary))

@@ -253,6 +253,27 @@ class TestExitCodes:
         assert main(["extract", str(src), "--out", str(out)]) == 2
         assert "unterminated literal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("package p; class A { int<B> y; }",
+         "A.chd:1:25: type arguments on primitive 'int'"),
+        ("package p; class A<T> { T<String> x; }",
+         "A.chd:1:26: type arguments on type variable 'T'"),
+        ("package p; class A<T> { class B extends T {} }",
+         "A.chd:1:41: type variable 'T' used as a supertype"),
+    ])
+    def test_java_type_rule_is_two(self, tmp_path, capsys, text, message):
+        """These used to parse, and their references were silently
+        dropped."""
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "A.chd").write_text(text)
+        out = tmp_path / "edges.tsv"
+        assert main(["extract", str(src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err.rstrip().endswith(message)
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
         ["metrics", "{net}", "--xmin", "0"],
         ["metrics", "{net}", "--xmin", "-1"],

@@ -293,6 +293,36 @@ def test_edge_betweenness_matches_networkx():
             assert scores[key] == pytest.approx(value, rel=1e-9)
 
 
+def test_mo_best_q_matches_networkx_greedy():
+    """Where MO's best-level Q does not depend on the seed, it equals the Q of
+    networkx's greedy_modularity_communities (Clauset, Newman & Moore) with
+    multiplicities as weights. Graphs whose Q varies with the seed have tied
+    merges, which networkx breaks its own way, so they are left out."""
+    nx = pytest.importorskip("networkx")
+    compared = 0
+    for trial in range(200):
+        rng = random.Random(trial)
+        n = rng.randint(5, 40)
+        g = random_sparse_multigraph(rng, n, rng.randint(n, 3 * n) / n)
+        q_values = {modularity(g, detect_mo(g, seed)[0]) for seed in range(30)}
+        if len(q_values) > 1:
+            continue
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_weighted_edges_from(
+            (u, v, w) for u in range(n)
+            for v, w in g.neighbors(u).items() if u < v)
+        labels = [0] * n
+        for label, block in enumerate(nx.community.greedy_modularity_communities(
+                reference, weight="weight")):
+            for u in block:
+                labels[u] = label
+        assert modularity(g, Partition(labels)) == pytest.approx(
+            q_values.pop(), abs=1e-12), trial
+        compared += 1
+    assert compared >= 50
+
+
 class TestLP:
     def test_single_edge_merges(self):
         part = detect_lp(graph_from_pairs([(0, 1)]), seed=0)

@@ -41,7 +41,6 @@ def test_empty_class_no_package():
 def test_interface_void_ignored():
     decl = parse_class_headers("package p; interface I { void m(); }")[0]
     assert decl.fqn == "p.I"
-    assert decl.is_interface
     assert decl.return_types == []
     assert decl.param_types == []
 
@@ -117,6 +116,45 @@ def test_primitive_type_arguments_dropped():
         ["List"], ["Map", "String"], ["Opt"]]
     assert [r.flatten(include_args=True) for r in decl.param_types] == [["Map"]]
     assert [r.flatten(include_args=True) for r in decl.return_types] == [["List"]]
+
+
+@pytest.mark.parametrize("source, token, message", [
+    ("class A { int<B> y; }", "<B>", "type arguments on primitive 'int'"),
+    ("class A { <T> List<double<T>> f(); }", "<T>>",
+     "type arguments on primitive 'double'"),
+    ("class A<T> { T<String> x; }", "<String>",
+     "type arguments on type variable 'T'"),
+    ("class A<T> { Map<K, T<X>> m; }", "<X>",
+     "type arguments on type variable 'T'"),
+    ("class A { <U> U<X> m(); }", "<X>",
+     "type arguments on type variable 'U'"),
+    ("class A<T> extends B<T<X>> {}", "<X>",
+     "type arguments on type variable 'T'"),
+    ("class A<T> extends T {}", "T {",
+     "type variable 'T' used as a supertype"),
+    ("class A<T> implements I, T {}", "T {",
+     "type variable 'T' used as a supertype"),
+    ("class A<T> { class B extends T {} }", "T {}",
+     "type variable 'T' used as a supertype"),
+])
+def test_java_type_rules_are_parse_errors(source, token, message):
+    """Type arguments on a primitive or a type variable, and a type variable
+    as a supertype, are rejected at the offending token. They used to parse,
+    and the references were silently dropped."""
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse_class_headers(source)
+    assert (err.value.line, err.value.column) == (1, source.index(token) + 1)
+
+
+def test_type_parameter_bounds_are_not_checked():
+    """Bounds are parsed and thrown away, and no type variable is in scope in
+    them; so a name that is a type variable of another class may take type
+    arguments there."""
+    decls = parse_class_headers(
+        "class A<T> {} class B<U extends T<X>> { <V extends U<W>> V f(); }")
+    assert [(d.fqn, d.type_params) for d in decls] == [
+        ("A", {"T"}), ("B", {"U"})]
+    assert decls[1].return_types == []
 
 
 def test_arrays_decay():
@@ -298,11 +336,25 @@ def test_class_line_from_offset():
 
 # -- differential against the character-stepping tokenizer -----------------
 
+def token_kind(text):
+    """The reference tokenizer's kind of a token, from its text alone: the
+    end of input is empty, a literal starts with a digit or a quote, an
+    identifier with any other word character or '$', and punctuation is the
+    rest."""
+    if text == "":
+        return "eof"
+    if text[0].isdigit() or text[0] in "\"'":
+        return "literal"
+    if re.match(r"[\w$]", text[0]):
+        return "ident"
+    return "punct"
+
+
 def token_stream(source):
-    """(kind, value, line, col) per token, or the ParseError as a tuple."""
+    """(kind, text, line, col) per token, or the ParseError as a tuple."""
     try:
-        return [(t.kind, t.value, *position(source, t.pos))
-                for t in tokenize(source, "f.chd")]
+        return [(token_kind(text), text, *position(source, offset))
+                for text, offset in tokenize(source, "f.chd")]
     except ParseError as exc:
         return (str(exc), exc.line, exc.column)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from depnet import (GraphError, Partition, build_graph, connected_components,
                     detect_lp, detect_mo, fit_power_law, induced_subgraph,
-                    modularity, nmi, run_batch, size_distribution,
+                    modularity, nmi, report, run_batch, size_distribution,
                     split_disconnected)
 from depnet.graph import DependencyKind
 from depnet.metrics import package_analysis
@@ -201,25 +201,33 @@ class TestSizeDistribution:
     def test_ccdf_values(self):
         part = Partition(["a", "a", "b", "b", "c", "c", "c", "c"])
         dist = size_distribution(part)
-        assert dist.sizes == [2, 2, 4]
-        assert dist.ccdf[2] == pytest.approx(1.0)
-        assert dist.ccdf[4] == pytest.approx(1 / 3)
+        assert dist["sizes"] == [2, 2, 4]
+        ccdf = dict(dist["ccdf"])
+        assert ccdf[2] == pytest.approx(1.0)
+        assert ccdf[4] == pytest.approx(1 / 3)
 
     def test_single_block(self):
         dist = size_distribution(Partition(["a", "a"]))
-        assert dist.ccdf == {2: 1.0}
+        assert dist["ccdf"] == [[2, 1.0]]
 
     def test_all_singletons(self):
         dist = size_distribution(Partition(range(5)))
-        assert dist.ccdf == {1: 1.0}
+        assert dist["ccdf"] == [[1, 1.0]]
 
     def test_ccdf_non_increasing(self):
         rng = random.Random(17)
         part = random_partition(rng, 30)
         dist = size_distribution(part)
-        values = [dist.ccdf[s] for s in sorted(dist.ccdf)]
+        assert [s for s, _ in dist["ccdf"]] == sorted(set(dist["sizes"]))
+        values = [fraction for _, fraction in dist["ccdf"]]
         assert values == sorted(values, reverse=True)
         assert values[0] == pytest.approx(1.0)
+
+    def test_record_matches_schema(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        part = random_partition(random.Random(5), 40)
+        jsonschema.validate(size_distribution(part, xmin=2),
+                            report._DISTRIBUTION_SCHEMA)
 
 
 class TestPowerLawFit:
@@ -264,24 +272,34 @@ class TestPowerLawFit:
 
 class TestRunBatch:
     def test_single_run_mean(self, two_triangles, triangle_partition):
-        stats, best = run_batch(two_triangles, "lp", 1, 42, triangle_partition)
-        assert stats.mean_q == stats.q_values[0]
+        record, best = run_batch(two_triangles, "lp", 1, 42, triangle_partition)
+        assert record["mean_q"] == record["q_values"][0]
         assert best.covers(two_triangles)
 
     def test_mo_unique_optimum(self, two_triangles, triangle_partition):
-        stats, best = run_batch(two_triangles, "mo", 5, 0, triangle_partition)
-        assert stats.mean_q == pytest.approx(5 / 14)
-        assert stats.peak_nmi == pytest.approx(1.0)
+        record, best = run_batch(two_triangles, "mo", 5, 0, triangle_partition)
+        assert record["mean_q"] == pytest.approx(5 / 14)
+        assert record["peak_nmi"] == pytest.approx(1.0)
         assert best.same_blocks(triangle_partition)
 
     def test_eb_runs_once(self, two_triangles, triangle_partition):
-        stats, _ = run_batch(two_triangles, "eb", 10, 0, triangle_partition)
-        assert len(stats.q_values) == 1
+        record, _ = run_batch(two_triangles, "eb", 10, 0, triangle_partition)
+        assert len(record["q_values"]) == record["runs"] == 1
 
     def test_mean_within_bounds(self, two_triangles, triangle_partition):
-        stats, _ = run_batch(two_triangles, "lp", 20, 0, triangle_partition)
-        assert min(stats.q_values) <= stats.mean_q <= max(stats.q_values)
-        assert stats.peak_nmi == max(stats.nmi_values)
+        record, _ = run_batch(two_triangles, "lp", 20, 0, triangle_partition)
+        q_values = record["q_values"]
+        assert min(q_values) <= record["mean_q"] <= max(q_values)
+        assert record["peak_nmi"] == max(record["nmi_values"])
+
+    @pytest.mark.parametrize("algorithm", ["eb", "mo", "lp"])
+    def test_record_matches_schema(self, two_triangles, triangle_partition,
+                                   algorithm):
+        jsonschema = pytest.importorskip("jsonschema")
+        record, _ = run_batch(two_triangles, algorithm, 3, 0,
+                              triangle_partition)
+        jsonschema.validate(record, report._BATCH_SCHEMA)
+        assert record["algorithm"] == algorithm
 
     def test_unknown_algorithm(self, two_triangles, triangle_partition):
         with pytest.raises(GraphError):
