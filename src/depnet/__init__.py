@@ -7,7 +7,7 @@ from .detect import (Dendrogram, detect_eb, detect_lp, detect_mo,
                      edge_betweenness, refine_packages)
 from .errors import (DepnetError, FormatError, GraphError, ParseError,
                      ResolveError, SizeCapError)
-from .graph import (ClassGraph, DependencyKind, Partition, build_graph,
+from .graph import (ClassGraph, DependencyKind, build_graph,
                     collapse_to_weighted, connected_components,
                     induced_subgraph, remove_isolated)
 from .headers import ClassDecl, TypeRef, parse_class_headers
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassDecl", "ClassGraph", "CommunityGraph", "Dendrogram",
     "DependencyKind", "DepnetError", "FormatError", "GraphError", "ParseError",
-    "Partition", "ResolveError", "ResolveOptions", "SizeCapError", "TypeRef",
+    "ResolveError", "ResolveOptions", "SizeCapError", "TypeRef",
     "build_graph", "collapse_to_weighted", "community_network",
     "connected_components", "detect_eb", "detect_lp", "detect_mo",
     "edge_betweenness", "export", "fit_power_law", "induced_subgraph",

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import FormatError, GraphError
-from .graph import ClassGraph, Partition, component_labels
+from .graph import ClassGraph, Partition, check_cover, component_labels
 
 EXPORT_FORMATS = ("dot", "graphml", "json")
 
@@ -55,13 +55,12 @@ def community_network(
     edges are kept as each node's self-weight. Package distributions come
     from the second partition.
     """
-    for part in (partition, packages):
-        if not part.covers(graph):
-            raise GraphError("partition does not cover the graph's node set")
-    node_label = [str(label) for label in partition.labels]
+    check_cover(graph, partition)
+    check_cover(graph, packages)
+    node_label = [str(label) for label in partition]
     sizes: Counter = Counter(node_label)
     pkg_dist: dict[str, Counter] = {lbl: Counter() for lbl in sizes}
-    for label, package in zip(node_label, packages.labels):
+    for label, package in zip(node_label, packages):
         pkg_dist[label][str(package)] += 1
     self_weight: Counter = Counter()
     cross: Counter = Counter()

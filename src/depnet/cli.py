@@ -92,7 +92,7 @@ def cmd_extract(inputs, out, keep_external, type_args, package_depth):
     with open(out, "w", encoding="utf-8") as stream:
         write_edge_list(graph, stream)
     click.echo(f"nodes={graph.n_nodes} edges={graph.m} "
-               f"packages={packages.n_blocks}")
+               f"packages={len(set(packages))}")
 
 
 @cli.command("detect")
@@ -142,7 +142,7 @@ def cmd_metrics(network, partitions, xmin, package_depth, out):
     pairs = sorted(named)
     doc = {
         "network": {"nodes": graph.n_nodes, "edges": graph.m,
-                    "packages": packages.n_blocks},
+                    "packages": len(set(packages))},
         "q": {name: modularity(graph, part) for name, part in named.items()},
         "nmi": {
             f"{a}|{b}": nmi(named[a], named[b])
@@ -176,7 +176,7 @@ def cmd_refine(network, seed, package_depth, out):
         "q_packages_plus": modularity(graph, packages_plus),
         "q_refined": modularity(graph, refined),
         "nmi_refined_vs_packages": nmi(refined, packages),
-        "labels": sorted(str(lbl) for lbl in refined.label_set()),
+        "labels": sorted(str(lbl) for lbl in set(refined)),
     }
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from .errors import GraphError, SizeCapError
-from .graph import (ClassGraph, Partition, collapse_to_weighted,
-                    component_labels, modularity_numerator)
+from .graph import (ClassGraph, Partition, check_cover, collapse_to_weighted,
+                    component_labels, modularity_numerator, relabel_dense)
 
 EB_DEFAULT_EDGE_CAP = 5000
 LP_SWEEP_CAP = 1000  # label-propagation sweeps before giving up on a fixpoint
@@ -124,7 +124,8 @@ def detect_eb(
     Betweenness runs on the collapsed simple graph with hop-count paths;
     removing an edge deletes the whole parallel bundle. Q is evaluated on the
     original multigraph whenever the component count grows, and the max-Q
-    component partition is returned. Fully deterministic.
+    component partition is returned as a tuple of labels in node order,
+    densely relabelled (see `relabel_dense`). Fully deterministic.
 
     The cut is the edge of maximal score; among scores that are exactly
     equal as floats it is the lexicographically smallest (min-id, max-id)
@@ -151,8 +152,8 @@ def detect_eb(
     denom = 4 * graph.m ** 2 if graph.m else 1
 
     comp = component_labels(adj, range(n))
-    partition = Partition(comp[u] for u in range(n))
-    n_components = partition.n_blocks
+    partition = tuple(comp[u] for u in range(n))
+    n_components = len(set(partition))
     best_num = modularity_numerator(graph, partition)
     best_partition = partition
     levels = [DendrogramLevel(n_components, best_num / denom)]
@@ -172,7 +173,7 @@ def detect_eb(
                 adj, sorted(x for x, c in reach.items() if c == side)))
         if reach[v]:
             comp = component_labels(adj, range(n))
-            partition = Partition(comp[u] for u in range(n))
+            partition = tuple(comp[u] for u in range(n))
             n_components += 1
             num = modularity_numerator(graph, partition)
             levels.append(DendrogramLevel(n_components, num / denom))
@@ -180,12 +181,14 @@ def detect_eb(
                 best_num = num
                 best_partition = partition
                 best_index = len(levels) - 1
-    return best_partition.relabel_dense(), Dendrogram(levels, best_index)
+    return relabel_dense(best_partition), Dendrogram(levels, best_index)
 
 
 def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
     """Greedy agglomeration: merge the connected community pair of maximal
-    modularity gain until no connected pair remains; return the sweep's best.
+    modularity gain until no connected pair remains; return the sweep's best
+    partition, a tuple of labels in node order densely relabelled (see
+    `relabel_dense`), and the dendrogram.
 
     Merges are incremental in the manner of Clauset, Newman & Moore (2004):
     each community keeps a map of its neighbour communities and edge counts,
@@ -278,8 +281,7 @@ def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
         comm[d] = c
     for node in range(n):
         comm[node] = comm[comm[node]]
-    partition = Partition(comm).relabel_dense()
-    return partition, Dendrogram(levels, best_index)
+    return relabel_dense(comm), Dendrogram(levels, best_index)
 
 
 def _lp_sweeps(graph: ClassGraph, labels: list[Hashable],
@@ -324,7 +326,8 @@ def _lp_sweeps(graph: ClassGraph, labels: list[Hashable],
 
 
 def detect_lp(graph: ClassGraph, seed: int) -> Partition:
-    """Label propagation from unique initial labels, densely relabeled.
+    """Label propagation from unique initial labels; returns the labels in
+    node order as a tuple, densely relabelled (see `relabel_dense`).
 
     Sweeps stop at the fixpoint or after LP_SWEEP_CAP sweeps; only a run
     that ends at the cap without reaching the fixpoint warns.
@@ -334,20 +337,20 @@ def detect_lp(graph: ClassGraph, seed: int) -> Partition:
     rng = random.Random(seed)
     labels: list[Hashable] = list(range(graph.n_nodes))
     _lp_sweeps(graph, labels, rng)
-    return Partition(labels).relabel_dense()
+    return relabel_dense(labels)
 
 
 def refine_packages(graph: ClassGraph, initial: Partition, seed: int) -> Partition:
     """Refine and merge an existing partition by label propagation.
 
-    Sweeps start from the given labels, so the output label set is a subset
-    of the input's and original identifiers survive for comprehension.
+    Sweeps start from the given labels (a tuple in node order), so the
+    returned tuple's label set is a subset of the input's and original
+    identifiers survive for comprehension.
     """
-    if not initial.covers(graph):
-        raise GraphError("initial partition does not cover the graph")
+    check_cover(graph, initial)
     rng = random.Random(seed)
-    labels = list(initial.labels)
+    labels = list(initial)
     _lp_sweeps(graph, labels, rng)
-    result = Partition(labels)
-    assert result.label_set() <= initial.label_set()
+    result = tuple(labels)
+    assert set(result) <= set(initial)
     return result

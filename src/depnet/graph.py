@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from enum import Enum
-from types import MappingProxyType
-from typing import Hashable, Iterable, KeysView, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import GraphError
 
 Label = Hashable
+# A partition: the label of node i at index i.
+Partition = tuple[Label, ...]
 
 
 class DependencyKind(Enum):
@@ -23,76 +24,16 @@ class DependencyKind(Enum):
     RETURN = "return"
 
 
-class Partition:
-    """Total assignment of node ids 0..n-1 to labels, stored as one tuple
-    indexed by node id; blocks are derived lazily and cached."""
+def relabel_dense(labels: Iterable[Label]) -> tuple[int, ...]:
+    """Map labels to 0..k-1 in order of each block's smallest node id."""
+    remap: dict[Label, int] = {}
+    return tuple(remap.setdefault(label, len(remap)) for label in labels)
 
-    def __init__(self, labels: Iterable[Label]):
-        """Partition whose i-th label is the label of node i."""
-        if isinstance(labels, Mapping):
-            raise GraphError("partition labels are given in node order, "
-                             "not as a mapping")
-        self._labels = tuple(labels)
-        self._blocks: Mapping[Label, frozenset[int]] | None = None
 
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return self._labels
-
-    def label_of(self, node: int) -> Label:
-        return self._labels[node]
-
-    @property
-    def blocks(self) -> Mapping[Label, frozenset[int]]:
-        """Read-only label -> member nodes, labels in order of their
-        smallest node."""
-        if self._blocks is None:
-            acc: dict[Label, list[int]] = {}
-            for node, label in enumerate(self._labels):
-                acc.setdefault(label, []).append(node)
-            self._blocks = MappingProxyType(
-                {lbl: frozenset(nodes) for lbl, nodes in acc.items()})
-        return self._blocks
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def nodes(self) -> range:
-        return range(len(self._labels))
-
-    def label_set(self) -> KeysView[Label]:
-        return self.blocks.keys()
-
-    def block_sizes(self) -> list[int]:
-        return sorted(Counter(self._labels).values())
-
-    def relabel_dense(self) -> "Partition":
-        """Map labels to 0..k-1 in order of each block's smallest node id."""
-        remap: dict[Label, int] = {}
-        for label in self._labels:
-            remap.setdefault(label, len(remap))
-        return Partition(remap[label] for label in self._labels)
-
-    def covers(self, graph: "ClassGraph") -> bool:
-        return len(self._labels) == graph.n_nodes
-
-    def same_blocks(self, other: "Partition") -> bool:
-        """True when both partitions induce the same grouping, labels aside."""
-        return self.relabel_dense() == other.relabel_dense()
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self._labels == other._labels
-
-    def __hash__(self) -> int:
-        return hash(self._labels)
-
-    def __repr__(self) -> str:
-        return f"Partition({self.n_blocks} blocks, {len(self)} nodes)"
+def check_cover(graph: "ClassGraph", partition: Partition) -> None:
+    """GraphError unless the partition has one label per node of the graph."""
+    if len(partition) != graph.n_nodes:
+        raise GraphError("partition does not cover the graph's node set")
 
 
 def modularity_numerator(graph: "ClassGraph", partition: Partition) -> int:
@@ -102,15 +43,14 @@ def modularity_numerator(graph: "ClassGraph", partition: Partition) -> int:
     where l_c counts intra-community edges (with multiplicity) and d_c sums
     member degrees. Exact integers make tie handling in the detectors stable.
     """
-    labels = partition.labels
     m = graph.m
     intra: Counter = Counter()
     deg_sum: Counter = Counter()
-    for label, k in zip(labels, graph.degree):
+    for label, k in zip(partition, graph.degree):
         deg_sum[label] += k
     for u, v, _ in graph.edges:
-        if labels[u] == labels[v]:
-            intra[labels[u]] += 1
+        if partition[u] == partition[v]:
+            intra[partition[u]] += 1
     return sum(4 * m * intra[c] - deg_sum[c] ** 2 for c in deg_sum)
 
 
@@ -250,7 +190,7 @@ def connected_components(graph: ClassGraph) -> Partition:
     """Label every node with the index of its connected component."""
     nodes = range(graph.n_nodes)
     comp = component_labels(graph._adj, nodes)
-    return Partition(comp[u] for u in nodes)
+    return tuple(comp[u] for u in nodes)
 
 
 def induced_subgraph(graph: ClassGraph, node_set: Iterable[int]) -> ClassGraph:

@@ -353,6 +353,9 @@ class _Parser:
             self.next()
             ref = TypeRef(text)
         else:
+            if text in self.type_vars and self.tokens[self.pos + 1][0] == ".":
+                raise self.error(
+                    f"member type selected from type variable {text!r}")
             ref = TypeRef(self.qualified_name())
         if self.at("<"):
             if ref.name in PRIMITIVES or ref.name in self.type_vars:
@@ -482,8 +485,9 @@ def parse_class_headers(source_text: str, filename: str | None = None) -> list[C
     nested more than MAX_NESTING levels deep raise ParseError("nesting too
     deep") at the token that opens the level past the cap. As in Java, type
     arguments on a primitive, or on a type variable in scope outside
-    type-parameter bounds, raise ParseError at their ``<``, and a type
-    variable in scope as a supertype raises it at the variable.
+    type-parameter bounds, raise ParseError at their ``<``. A type variable
+    in scope as a supertype, or as the first part of a qualified type name
+    (``T.Inner``), raises it at the variable.
     """
     tokens = tokenize(source_text, filename)
     return _Parser(tokens, source_text, filename).parse_unit()

@@ -188,29 +188,16 @@ def write_edge_list(graph: ClassGraph, stream: IO[str]) -> None:
     stream.writelines(sorted(lines))
 
 
-def _check_depth(depth: int | None) -> None:
+def package_partition(graph: ClassGraph, depth: int | None = None) -> Partition:
+    """Label each node with its package, '(default)' when its fqn has none;
+    a depth keeps only the package's first `depth` segments."""
     if depth is not None and depth < 1:
         raise GraphError(f"package depth must be >= 1, got {depth}")
-
-
-def package_of(fqn: str, depth: int | None = None) -> str:
-    """Package label of an fqn; '(default)' when the fqn has no package.
-
-    A depth keeps only the package's first `depth` segments.
-    """
-    _check_depth(depth)
-    if "." not in fqn:
-        return "(default)"
-    package = fqn.rsplit(".", 1)[0]
-    if depth is not None:
-        package = ".".join(package.split(".")[:depth])
-    return package
-
-
-def package_partition(graph: ClassGraph, depth: int | None = None) -> Partition:
-    """Group nodes by their (optionally depth-truncated) package."""
-    _check_depth(depth)
-    return Partition(package_of(fqn, depth) for fqn in graph.fqns)
+    labels = []
+    for fqn in graph.fqns:
+        segments = fqn.split(".")[:-1][:depth]
+        labels.append(".".join(segments) if segments else "(default)")
+    return tuple(labels)
 
 
 def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
@@ -245,10 +232,10 @@ def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
         raise FormatError(
             f"partition covers {len(first_line)} of {graph.n_nodes} nodes"
         )
-    return Partition(labels)
+    return tuple(labels)
 
 
 def write_partition(partition: Partition, graph: ClassGraph, stream: IO[str]) -> None:
     """Write a partition TSV sorted by fqn."""
-    for fqn, label in sorted(zip(graph.fqns, map(str, partition.labels))):
+    for fqn, label in sorted(zip(graph.fqns, map(str, partition))):
         stream.write(f"{fqn}\t{label}\n")

@@ -8,16 +8,11 @@ from collections import Counter
 
 from . import detect
 from .errors import GraphError
-from .graph import (ClassGraph, Partition, component_labels,
-                    modularity_numerator)
+from .graph import (ClassGraph, Label, Partition, check_cover,
+                    component_labels, modularity_numerator)
 from .ingest import package_partition
 
 SIGNIFICANT_Q = 0.30  # conventional threshold for meaningful community structure
-
-
-def _check_cover(graph: ClassGraph, partition: Partition) -> None:
-    if not partition.covers(graph):
-        raise GraphError("partition does not cover the graph's node set")
 
 
 def modularity(graph: ClassGraph, partition: Partition) -> float:
@@ -28,7 +23,7 @@ def modularity(graph: ClassGraph, partition: Partition) -> float:
     """
     if graph.m == 0:
         raise GraphError("modularity undefined for a graph with no edges")
-    _check_cover(graph, partition)
+    check_cover(graph, partition)
     return modularity_numerator(graph, partition) / (4 * graph.m ** 2)
 
 
@@ -44,9 +39,9 @@ def nmi(a: Partition, b: Partition) -> float:
     n = len(a)
     if n == 0:
         raise GraphError("empty partitions")
-    count_a: Counter = Counter(a.labels)
-    count_b: Counter = Counter(b.labels)
-    joint: Counter = Counter(zip(a.labels, b.labels))
+    count_a: Counter = Counter(a)
+    count_b: Counter = Counter(b)
+    joint: Counter = Counter(zip(a, b))
 
     def entropy(counts: Counter) -> float:
         return -sum((c / n) * math.log(c / n) for c in counts.values())
@@ -64,19 +59,24 @@ def nmi(a: Partition, b: Partition) -> float:
 def split_disconnected(graph: ClassGraph, partition: Partition) -> Partition:
     """Replace each block by the connected components of its induced subgraph.
 
-    Components of a split block inherit the parent label with a numeric
-    suffix, numbered by smallest node; connected blocks keep their label.
-    Idempotent.
+    Returns the labels in node order as a tuple. Components of a split block
+    inherit the parent label with a numeric suffix, numbered by smallest
+    node; connected blocks keep their label. Idempotent.
     """
-    _check_cover(graph, partition)
-    labels = list(partition.labels)
-    for label, block in partition.blocks.items():
-        inner = {u: [v for v in graph.neighbors(u) if v in block] for u in block}
-        parts = component_labels(inner, sorted(block))
+    check_cover(graph, partition)
+    blocks: dict[Label, list[int]] = {}
+    for node, label in enumerate(partition):
+        blocks.setdefault(label, []).append(node)
+    labels = list(partition)
+    for label, block in blocks.items():
+        members = set(block)
+        inner = {u: [v for v in graph.neighbors(u) if v in members]
+                 for u in block}
+        parts = component_labels(inner, block)
         if max(parts.values()):
             for node, idx in parts.items():
                 labels[node] = f"{label}#{idx + 1}"
-    return Partition(labels)
+    return tuple(labels)
 
 
 def package_analysis(
@@ -87,21 +87,21 @@ def package_analysis(
     the sorted labels of the packages that P+ splits."""
     packages = package_partition(graph, depth)
     packages_plus = split_disconnected(graph, packages)
-    kept = {str(label) for label in packages_plus.label_set()}
+    kept = {str(label) for label in packages_plus}
     disconnected = sorted(
-        str(label) for label in packages.label_set() if str(label) not in kept
+        str(label) for label in set(packages) if str(label) not in kept
     )
     return packages, packages_plus, disconnected
 
 
 def size_distribution(partition: Partition, xmin: int = 1) -> dict:
-    """The report's record of the partition's block sizes: ``sizes``,
-    ``ccdf`` ([size, fraction of blocks >= size] pairs by ascending size),
-    ``alpha`` (see `fit_power_law`, which raises GraphError for xmin < 1)
-    and ``xmin``."""
-    if len(partition) == 0:
+    """The report's record of the block sizes of a partition (a tuple of
+    labels in node order): ``sizes`` (ascending), ``ccdf`` ([size, fraction
+    of blocks >= size] pairs by ascending size), ``alpha`` (see
+    `fit_power_law`, which raises GraphError for xmin < 1) and ``xmin``."""
+    if not partition:
         raise GraphError("empty partition")
-    sizes = partition.block_sizes()
+    sizes = sorted(Counter(partition).values())
     total = len(sizes)
     return {
         "sizes": sizes,

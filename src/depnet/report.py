@@ -125,18 +125,19 @@ def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
         algo_section[algo] = record
         distributions[f"communities_{algo}"] = size_distribution(best, xmin)
 
+    n_packages = len(set(packages))
     return {
         "config": config,
         "network": {
             "nodes": graph.n_nodes,
             "edges": graph.m,
-            "packages": packages.n_blocks,
+            "packages": n_packages,
         },
         "packages": {
             "q": modularity(graph, packages),
             "q_plus": modularity(graph, packages_plus),
-            "blocks": packages.n_blocks,
-            "blocks_plus": packages_plus.n_blocks,
+            "blocks": n_packages,
+            "blocks_plus": len(set(packages_plus)),
             "disconnected_packages": disconnected,
         },
         "algorithms": algo_section,

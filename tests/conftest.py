@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
 
-from depnet import DependencyKind, Partition, build_graph
+from depnet import DependencyKind, build_graph
 
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_DIR = DATA_DIR / "corpus"
@@ -31,4 +31,4 @@ def two_triangles():
 
 @pytest.fixture
 def triangle_partition():
-    return Partition([0, 0, 0, 1, 1, 1])
+    return (0, 0, 0, 1, 1, 1)

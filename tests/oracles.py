@@ -29,19 +29,26 @@ from itertools import combinations
 from typing import Hashable
 
 from depnet import (ClassGraph, Dendrogram, DependencyKind, GraphError,
-                    ParseError, Partition, SizeCapError, build_graph,
+                    ParseError, SizeCapError, build_graph,
                     collapse_to_weighted)
 from depnet.abstract import Community, CommunityGraph
 from depnet.detect import EB_DEFAULT_EDGE_CAP, LP_SWEEP_CAP, DendrogramLevel
-from depnet.graph import Label
+from depnet.graph import Label, Partition, relabel_dense
 from depnet.headers import MODIFIERS
 from depnet.metrics import modularity_numerator
+
+
+def blocks_of(partition: Partition) -> dict[Label, frozenset[int]]:
+    """Label -> member nodes, labels in order of their smallest node."""
+    members: dict[Label, set[int]] = {}
+    for node, label in enumerate(partition):
+        members.setdefault(label, set()).add(node)
+    return {label: frozenset(nodes) for label, nodes in members.items()}
 
 
 def modularity_ordered_pairs(graph: ClassGraph, partition: Partition) -> float:
     """Q as the literal double sum over ordered node pairs."""
     m = graph.m
-    labels = partition.labels
     n = graph.n_nodes
     adjacency = [[0] * n for _ in range(n)]
     for u, v, _ in graph.edges:
@@ -50,7 +57,7 @@ def modularity_ordered_pairs(graph: ClassGraph, partition: Partition) -> float:
     total = 0.0
     for i in range(n):
         for j in range(n):
-            if labels[i] != labels[j]:
+            if partition[i] != partition[j]:
                 continue
             expected = graph.degree[i] * graph.degree[j] / (2 * m)
             total += adjacency[i][j] - expected
@@ -75,18 +82,18 @@ def best_q_exhaustive(graph: ClassGraph) -> float:
     best = -math.inf
     for blocks in set_partitions(range(graph.n_nodes)):
         labels = {node: i for i, block in enumerate(blocks) for node in block}
-        partition = Partition(labels[node] for node in range(graph.n_nodes))
+        partition = tuple(labels[node] for node in range(graph.n_nodes))
         best = max(best, modularity_ordered_pairs(graph, partition))
     return best
 
 
 def nmi_direct(a: Partition, b: Partition) -> float:
     """NMI from explicit marginal/joint probability tables."""
-    nodes = sorted(a.nodes)
+    nodes = range(len(a))
     n = len(nodes)
-    pa = Counter(a.label_of(u) for u in nodes)
-    pb = Counter(b.label_of(u) for u in nodes)
-    joint = Counter((a.label_of(u), b.label_of(u)) for u in nodes)
+    pa = Counter(a[u] for u in nodes)
+    pb = Counter(b[u] for u in nodes)
+    joint = Counter((a[u], b[u]) for u in nodes)
     h_a = -sum(c / n * math.log(c / n) for c in pa.values())
     h_b = -sum(c / n * math.log(c / n) for c in pb.values())
     if h_a + h_b == 0:
@@ -114,7 +121,7 @@ def random_multigraph(rng: random.Random, max_nodes: int = 8,
 
 def random_partition(rng: random.Random, n: int) -> Partition:
     k = rng.randint(1, n)
-    return Partition([rng.randrange(k) for _ in range(n)])
+    return tuple(rng.randrange(k) for _ in range(n))
 
 
 def random_sparse_multigraph(rng: random.Random, n: int,
@@ -190,8 +197,7 @@ def detect_mo_reference(graph: ClassGraph, seed: int) -> tuple[Partition, Dendro
             best_num = q_num
             best_labels = list(comm)
             best_index = len(levels) - 1
-    partition = Partition(best_labels).relabel_dense()
-    return partition, Dendrogram(levels, best_index)
+    return relabel_dense(best_labels), Dendrogram(levels, best_index)
 
 
 def _components_reference(adj: dict[int, set[int]]) -> dict[int, int]:
@@ -276,10 +282,10 @@ def detect_eb_reference(
     denom = 4 * graph.m ** 2 if graph.m else 1
 
     labels = _components_reference(adj)
-    partition = Partition(labels[node] for node in range(len(labels)))
+    partition = tuple(labels[node] for node in range(len(labels)))
     best_num = modularity_numerator(graph, partition)
     best_partition = partition
-    n_components = partition.n_blocks
+    n_components = len(set(partition))
     levels = [DendrogramLevel(n_components, best_num / denom)]
     best_index = 0
 
@@ -290,16 +296,16 @@ def detect_eb_reference(
         adj[u].discard(v)
         adj[v].discard(u)
         labels = _components_reference(adj)
-        partition = Partition(labels[node] for node in range(len(labels)))
-        if partition.n_blocks > n_components:
-            n_components = partition.n_blocks
+        partition = tuple(labels[node] for node in range(len(labels)))
+        if len(set(partition)) > n_components:
+            n_components = len(set(partition))
             num = modularity_numerator(graph, partition)
             levels.append(DendrogramLevel(n_components, num / denom))
             if num > best_num:
                 best_num = num
                 best_partition = partition
                 best_index = len(levels) - 1
-    return best_partition.relabel_dense(), Dendrogram(levels, best_index)
+    return relabel_dense(best_partition), Dendrogram(levels, best_index)
 
 
 def split_disconnected_reference(graph: ClassGraph, partition: Partition) -> Partition:
@@ -309,7 +315,7 @@ def split_disconnected_reference(graph: ClassGraph, partition: Partition) -> Par
     suffix; connected blocks keep their label. Idempotent.
     """
     labels: dict[int, Label] = {}
-    for label, block in sorted(partition.blocks.items(), key=lambda kv: min(kv[1])):
+    for label, block in sorted(blocks_of(partition).items(), key=lambda kv: min(kv[1])):
         components = _components_within_reference(graph, block)
         if len(components) == 1:
             for node in block:
@@ -318,7 +324,7 @@ def split_disconnected_reference(graph: ClassGraph, partition: Partition) -> Par
             for idx, component in enumerate(components, start=1):
                 for node in component:
                     labels[node] = f"{label}#{idx}"
-    return Partition(labels[node] for node in range(len(labels)))
+    return tuple(labels[node] for node in range(len(labels)))
 
 
 def _components_within_reference(graph: ClassGraph, block: frozenset[int]) -> list[set[int]]:

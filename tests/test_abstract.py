@@ -4,8 +4,8 @@ from dataclasses import asdict
 
 import pytest
 
-from depnet import (FormatError, GraphError, Partition, community_network,
-                    export, largest_components_filter)
+from depnet import (FormatError, GraphError, community_network, export,
+                    largest_components_filter)
 from depnet.abstract import Community, CommunityEdge, CommunityGraph
 
 from conftest import graph_from_pairs
@@ -30,7 +30,7 @@ def random_community_graph(rng: random.Random) -> CommunityGraph:
 
 @pytest.fixture
 def triangle_cgraph(two_triangles, triangle_partition):
-    packages = Partition(["pa", "pa", "pa", "pb", "pb", "pb"])
+    packages = ("pa", "pa", "pa", "pb", "pb", "pb")
     return community_network(two_triangles, triangle_partition, packages)
 
 
@@ -44,15 +44,15 @@ class TestCommunityNetwork:
         assert [c.self_weight for c in triangle_cgraph.communities] == [3, 3]
 
     def test_single_block(self, two_triangles):
-        one = Partition(["all"] * 6)
+        one = ("all",) * 6
         cg = community_network(two_triangles, one, one)
         assert len(cg.communities) == 1
         assert cg.communities[0].self_weight == two_triangles.m
         assert cg.edges == ()
 
     def test_conservation(self, two_triangles):
-        part = Partition(["a", "a", "b", "b", "c", "c"])
-        pkgs = Partition([f"p{i % 2}" for i in range(6)])
+        part = ("a", "a", "b", "b", "c", "c")
+        pkgs = tuple(f"p{i % 2}" for i in range(6))
         cg = community_network(two_triangles, part, pkgs)
         assert sum(c.size for c in cg.communities) == two_triangles.n_nodes
         assert sum(e.weight for e in cg.edges) + \
@@ -60,15 +60,14 @@ class TestCommunityNetwork:
 
     def test_uncovering_partition_rejected(self, two_triangles):
         with pytest.raises(GraphError):
-            community_network(two_triangles, Partition(["a"]),
-                              Partition(["a"]))
+            community_network(two_triangles, ("a",), ("a",))
 
 
 class TestComponentsFilter:
     def two_component_cgraph(self):
         g = graph_from_pairs([(0, 1), (2, 3)])
-        part = Partition(["a", "b", "c", "d"])
-        pkgs = Partition(["p"] * 4)
+        part = ("a", "b", "c", "d")
+        pkgs = ("p",) * 4
         return community_network(g, part, pkgs)
 
     def test_keep_all_when_k_large(self, triangle_cgraph):
@@ -76,8 +75,8 @@ class TestComponentsFilter:
 
     def test_keeps_largest(self):
         g = graph_from_pairs([(0, 1), (0, 2), (3, 4)])
-        part = Partition(["a", "b", "c", "x", "y"])
-        pkgs = Partition(["p"] * 5)
+        part = ("a", "b", "c", "x", "y")
+        pkgs = ("p",) * 5
         cg = community_network(g, part, pkgs)
         filtered = largest_components_filter(cg, 1)
         assert filtered.labels() == ["a", "b", "c"]
@@ -155,7 +154,7 @@ class TestExport:
             export(triangle_cgraph, "svg")
 
     def test_top_package(self, two_triangles, triangle_partition):
-        pkgs = Partition(["x", "y", "y", "z", "z", "z"])
+        pkgs = ("x", "y", "y", "z", "z", "z")
         cg = community_network(two_triangles, triangle_partition, pkgs)
         assert cg.communities[0].top_package() == "y"
         assert cg.communities[1].top_package() == "z"

@@ -260,15 +260,22 @@ class TestExitCodes:
          "A.chd:1:26: type arguments on type variable 'T'"),
         ("package p; class A<T> { class B extends T {} }",
          "A.chd:1:41: type variable 'T' used as a supertype"),
+        ("package p; class A<T> { T.Inner f; }",
+         "A.chd:1:25: member type selected from type variable 'T'"),
+        ("package p; class A<T> extends T.Inner {}",
+         "A.chd:1:31: member type selected from type variable 'T'"),
+        ("package p; class A { <T> T.Inner f(T.X x); }",
+         "A.chd:1:26: member type selected from type variable 'T'"),
     ])
     def test_java_type_rule_is_two(self, tmp_path, capsys, text, message):
-        """These used to parse, and their references were silently
-        dropped."""
+        """These used to parse; their references were silently dropped, or
+        with --keep-external `T.Inner` was written as an external class."""
         src = tmp_path / "src"
         src.mkdir()
         (src / "A.chd").write_text(text)
         out = tmp_path / "edges.tsv"
-        assert main(["extract", str(src), "--out", str(out)]) == 2
+        assert main(["extract", str(src), "--keep-external",
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert err.rstrip().endswith(message)
@@ -380,3 +387,33 @@ def test_cli_import_skips_xml_and_network_modules():
                             text=True, check=True,
                             env={"PYTHONPATH": str(src)})
     assert result.stdout.strip() == "[]"
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    """Label sets are built with set(), whose order over strings follows
+    PYTHONHASHSEED; every output must be sorted or counted so that it does
+    not. Seeds 0 and 12345 happen to order this corpus's two refined labels
+    alike, and seed 4 orders them the other way."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    commands = [
+        ["extract", str(CORPUS_DIR), "--out", "edges.tsv"],
+        ["report", str(CORPUS_DIR), "--runs", "3"],
+        ["refine", "edges.tsv", "--out", "refined.tsv"],
+        ["metrics", "edges.tsv", "refined.tsv"],
+        ["detect", "edges.tsv", "--algo", "lp", "--out", "lp.tsv"],
+    ]
+    seen = []
+    for hash_seed in ("0", "12345", "4"):
+        work = tmp_path / hash_seed
+        work.mkdir()
+        stdout = []
+        for args in commands:
+            result = subprocess.run(
+                [sys.executable, "-m", "depnet.cli", *args], cwd=work,
+                capture_output=True, text=True, check=True,
+                env={"PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed})
+            stdout.append(result.stdout)
+        files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+        assert sorted(files) == ["edges.tsv", "lp.tsv", "refined.tsv"]
+        seen.append((stdout, files))
+    assert seen[0] == seen[1] == seen[2]

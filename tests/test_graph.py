@@ -3,12 +3,16 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from depnet import (ClassGraph, DependencyKind, GraphError, Partition,
-                    build_graph, collapse_to_weighted, connected_components,
-                    induced_subgraph, load_edge_list, modularity,
-                    remove_isolated)
+from depnet import (ClassGraph, DependencyKind, GraphError, build_graph,
+                    collapse_to_weighted, connected_components, detect_eb,
+                    detect_lp, detect_mo, induced_subgraph, load_edge_list,
+                    load_partition, modularity, package_partition,
+                    refine_packages, remove_isolated, run_batch,
+                    split_disconnected, write_partition)
+from depnet.graph import relabel_dense
 
 from conftest import graph_from_pairs
+from oracles import blocks_of
 
 F = DependencyKind.FIELD
 R = DependencyKind.RETURN
@@ -67,43 +71,47 @@ def test_remove_isolated_all_isolated():
     assert remove_isolated(g).n_nodes == 0
 
 
-def test_partition_rejects_a_mapping():
-    # Labels come in node order; a mapping would silently be read by its keys.
-    for labels in ({0: "a"}, {1: "a", 0: "b"}):
-        with pytest.raises(GraphError, match="node order"):
-            Partition(labels)
+def test_relabel_dense():
+    part = ("a", "b", "a")
+    assert relabel_dense(part) == (0, 1, 0)
+    # Equal dense labels mean the same grouping, whatever the labels.
+    assert relabel_dense(part) == relabel_dense((5, 3, 5))
+    assert relabel_dense(part) != relabel_dense((5, 5, 3))
 
 
-def test_partition_views_share_storage():
-    part = Partition(["a", "b", "a"])
-    assert part.labels == ("a", "b", "a")
-    assert part.labels is part.labels
-    assert part.blocks is part.blocks
-    assert part.blocks == {"a": frozenset({0, 2}), "b": frozenset({1})}
-    with pytest.raises(TypeError):
-        part.blocks["c"] = frozenset()
-    assert part.nodes == range(3)
-    assert part.n_blocks == 2
-    assert part.label_set() == {"a", "b"}
-    assert part.relabel_dense() == Partition([0, 1, 0])
-    assert part == Partition(["a", "b", "a"])
-    assert part.same_blocks(Partition([5, 3, 5]))
-    assert not part.same_blocks(Partition([5, 5, 3]))
+def test_partition_producers_return_tuples(two_triangles):
+    packages = package_partition(two_triangles)
+    stream = io.StringIO()
+    write_partition(packages, two_triangles, stream)
+    stream.seek(0)
+    produced = [
+        relabel_dense(["a", "b", "a"]),
+        detect_eb(two_triangles)[0],
+        detect_mo(two_triangles, 0)[0],
+        detect_lp(two_triangles, 0),
+        refine_packages(two_triangles, packages, 0),
+        run_batch(two_triangles, "mo", 2, 0, packages)[1],
+        packages,
+        load_partition(stream, two_triangles),
+        split_disconnected(two_triangles, packages),
+        connected_components(two_triangles),
+    ]
+    assert [type(p) for p in produced] == [tuple] * len(produced)
 
 
 def test_connected_components_path():
     g = graph_from_pairs([(0, 1), (1, 2)])
-    assert connected_components(g).n_blocks == 1
+    assert len(set(connected_components(g))) == 1
 
 
 def test_connected_components_two_pairs():
     g = graph_from_pairs([(0, 1), (2, 3)])
     parts = connected_components(g)
-    assert sorted(map(sorted, parts.blocks.values())) == [[0, 1], [2, 3]]
+    assert sorted(map(sorted, blocks_of(parts).values())) == [[0, 1], [2, 3]]
 
 
 def test_connected_components_bridged_triangles(two_triangles):
-    assert connected_components(two_triangles).n_blocks == 1
+    assert len(set(connected_components(two_triangles))) == 1
 
 
 def test_induced_subgraph_triangle_pair():
@@ -187,7 +195,7 @@ def test_build_graph_order_insensitive(case, rng):
     assert sorted(g1.degree) == sorted(g2.degree)
     assert g1.m == g2.m
     if g1.m:
-        part = Partition([i % 2 for i in range(g1.n_nodes)])
+        part = tuple(i % 2 for i in range(g1.n_nodes))
         assert modularity(g1, part) == pytest.approx(modularity(g2, part), abs=1e-12)
 
 

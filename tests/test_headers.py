@@ -136,14 +136,38 @@ def test_primitive_type_arguments_dropped():
      "type variable 'T' used as a supertype"),
     ("class A<T> { class B extends T {} }", "T {}",
      "type variable 'T' used as a supertype"),
+    ("package p; class A<T> { T.Inner f; }", "T.Inner",
+     "member type selected from type variable 'T'"),
+    ("class A<T> extends T.Inner {}", "T.Inner",
+     "member type selected from type variable 'T'"),
+    ("class A { <T> T.Inner f(X x); }", "T.Inner",
+     "member type selected from type variable 'T'"),
+    ("class A { <T> void f(T.X x); }", "T.X",
+     "member type selected from type variable 'T'"),
+    ("class A<T> { List<? extends T.X> f; }", "T.X",
+     "member type selected from type variable 'T'"),
+    ("class A<T> { class B { T.I f; } }", "T.I",
+     "member type selected from type variable 'T'"),
 ])
 def test_java_type_rules_are_parse_errors(source, token, message):
-    """Type arguments on a primitive or a type variable, and a type variable
-    as a supertype, are rejected at the offending token. They used to parse,
-    and the references were silently dropped."""
+    """Type arguments on a primitive or a type variable, a type variable as
+    a supertype, and a member type selected from a type variable are
+    rejected at the offending token. They used to parse; the references
+    were silently dropped, or with keep_external `T.Inner` became an
+    external class."""
     with pytest.raises(ParseError, match=re.escape(message)) as err:
         parse_class_headers(source)
     assert (err.value.line, err.value.column) == (1, source.index(token) + 1)
+
+
+def test_qualified_name_from_no_type_variable_parses():
+    """Only a type variable in scope is rejected as a qualifier; bounds are
+    not checked."""
+    decls = parse_class_headers(
+        "class B { T.Inner f; } class C<U> { T.Inner g; }"
+        " class D<T, U extends T.X> {}")
+    assert [refs(d.field_types) for d in decls] == [["T.Inner"], ["T.Inner"],
+                                                    []]
 
 
 def test_type_parameter_bounds_are_not_checked():
