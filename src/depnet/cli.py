@@ -16,7 +16,7 @@ from . import report as report_mod
 from .abstract import (EXPORT_FORMATS, community_network, export,
                        largest_components_filter)
 from .detect import refine_packages
-from .errors import DepnetError
+from .errors import DepnetError, SizeCapError
 from .graph import ClassGraph, Partition, build_graph, remove_isolated
 from .ingest import (ResolveOptions, load_edge_list, load_partition,
                      package_partition, parse_corpus, read_text,
@@ -109,7 +109,9 @@ def cmd_detect(network, algo, runs, seed, package_depth, out):
     """Run one detection algorithm; write the best-Q partition and stats."""
     graph = _load_graph(network)
     reference = package_partition(graph, package_depth)
-    record, best = run_batch(graph, algo, runs, seed, reference)
+    record, best = run_batch(graph, (algo,), runs, seed, reference)[algo]
+    if best is None:
+        raise SizeCapError(record["skipped"])
     if out:
         with open(out, "w", encoding="utf-8") as stream:
             write_partition(best, graph, stream)

@@ -293,18 +293,33 @@ def _lp_sweeps(graph: ClassGraph, labels: list[Hashable],
     their label. At most LP_SWEEP_CAP sweeps run; if the labels are still
     not at a fixpoint after the last one, a RuntimeWarning says so and the
     current labels stand.
+
+    Each node's maximal labels, sorted by `str`, are cached until a
+    neighbour's label is replaced by another object. Equal labels of
+    different types (1 and True) are one dict key, and the first one tallied
+    in adjacency order stands for both, so a change of identity, not of
+    value, is what invalidates a cached list.
     """
     nodes = list(range(graph.n_nodes))
+    neighbors = [graph.neighbors(u) for u in nodes]
+    cached: list[list[Hashable] | None] = [None] * len(nodes)
 
     def maximal_labels(node: int) -> list[Hashable]:
-        freq: dict[Hashable, int] = {}
-        for neighbor, mult in graph.neighbors(node).items():
-            label = labels[neighbor]
-            freq[label] = freq.get(label, 0) + mult
-        if not freq:
-            return [labels[node]]
-        top = max(freq.values())
-        return [lbl for lbl, w in freq.items() if w == top]
+        candidates = cached[node]
+        if candidates is None:
+            freq: dict[Hashable, int] = {}
+            for neighbor, mult in neighbors[node].items():
+                label = labels[neighbor]
+                freq[label] = freq.get(label, 0) + mult
+            if freq:
+                top = max(freq.values())
+                candidates = [lbl for lbl, w in freq.items() if w == top]
+                if len(candidates) > 1:
+                    candidates.sort(key=str)
+            else:
+                candidates = [labels[node]]
+            cached[node] = candidates
+        return candidates
 
     def at_fixpoint() -> bool:
         return all(labels[u] in maximal_labels(u) for u in nodes)
@@ -314,9 +329,13 @@ def _lp_sweeps(graph: ClassGraph, labels: list[Hashable],
             return
         rng.shuffle(nodes)
         for u in nodes:
-            candidates = sorted(maximal_labels(u), key=str)
-            labels[u] = candidates[rng.randrange(len(candidates))] \
+            candidates = maximal_labels(u)
+            label = candidates[rng.randrange(len(candidates))] \
                 if len(candidates) > 1 else candidates[0]
+            if label is not labels[u]:
+                labels[u] = label
+                for v in neighbors[u]:
+                    cached[v] = None
     if not at_fixpoint():
         warnings.warn(
             f"label propagation hit the sweep cap ({LP_SWEEP_CAP}) before "

@@ -4,10 +4,13 @@ distributions with a power-law fit, and batch aggregation over seeded runs."""
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from collections import Counter
+from typing import Sequence
 
 from . import detect
-from .errors import GraphError
+from .errors import GraphError, SizeCapError
 from .graph import (ClassGraph, Label, Partition, check_cover,
                     component_labels, modularity_numerator)
 from .ingest import package_partition
@@ -60,22 +63,33 @@ def split_disconnected(graph: ClassGraph, partition: Partition) -> Partition:
     """Replace each block by the connected components of its induced subgraph.
 
     Returns the labels in node order as a tuple. Components of a split block
-    inherit the parent label with a numeric suffix, numbered by smallest
-    node; connected blocks keep their label. Idempotent.
+    are named `label#k`, in order of their smallest node, each with the
+    smallest k >= 1 that no label in use names; connected blocks keep their
+    label. Idempotent.
     """
     check_cover(graph, partition)
     blocks: dict[Label, list[int]] = {}
     for node, label in enumerate(partition):
         blocks.setdefault(label, []).append(node)
     labels = list(partition)
+    used = set(blocks)
     for label, block in blocks.items():
         members = set(block)
         inner = {u: [v for v in graph.neighbors(u) if v in members]
                  for u in block}
         parts = component_labels(inner, block)
-        if max(parts.values()):
+        n_parts = max(parts.values()) + 1
+        if n_parts > 1:
+            names: list[str] = []
+            suffix = 1
+            while len(names) < n_parts:
+                name = f"{label}#{suffix}"
+                if name not in used:
+                    names.append(name)
+                    used.add(name)
+                suffix += 1
             for node, idx in parts.items():
-                labels[node] = f"{label}#{idx + 1}"
+                labels[node] = names[idx]
     return tuple(labels)
 
 
@@ -161,42 +175,49 @@ def fit_power_law(sizes, xmin: int = 1) -> float | None:
     return alpha
 
 
-def run_batch(
-    graph: ClassGraph,
-    algorithm: str,
-    runs: int,
-    base_seed: int,
-    reference: Partition,
-) -> tuple[dict, Partition]:
-    """Run `runs` seeded detections (seeds base, base+1, ...) and aggregate.
+# The graph and reference partition of the running `run_batch` call. Set
+# before its workers fork, so that they inherit both instead of receiving
+# them pickled with every task; None between calls.
+_batch_input: tuple[ClassGraph, Partition] | None = None
 
-    Returns the report's batch record (``algorithm``, ``runs``, per-run
-    ``q_values`` and ``nmi_values`` against `reference`, ``mean_q``,
-    ``max_q``, ``peak_nmi`` and ``significant``) and the best-Q run's
-    partition. EB is deterministic and executes exactly once regardless of
-    `runs`.
-    """
-    if runs < 1:
-        raise GraphError("runs must be >= 1")
-    if algorithm not in ("eb", "mo", "lp"):
-        raise GraphError(f"unknown algorithm {algorithm!r}")
-    seeds = [base_seed] if algorithm == "eb" else range(base_seed, base_seed + runs)
-    q_values: list[float] = []
-    nmi_values: list[float] = []
-    best_q, best = -math.inf, None
-    for seed in seeds:
-        if algorithm == "eb":
-            partition, _ = detect.detect_eb(graph)
-        elif algorithm == "mo":
-            partition, _ = detect.detect_mo(graph, seed)
+
+def _run_task(task: tuple[str, int]) -> tuple[object, list[tuple]]:
+    """One seeded detection of the running batch: its (Q, NMI, partition),
+    or the SizeCapError of a graph past the detector's size cap, with the
+    (message, category, filename, lineno) of each warning it raised."""
+    algorithm, seed = task
+    graph, reference = _batch_input
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            if algorithm == "eb":
+                partition, _ = detect.detect_eb(graph)
+            elif algorithm == "mo":
+                partition, dendrogram = detect.detect_mo(graph, seed)
+            else:
+                partition = detect.detect_lp(graph, seed)
+        except SizeCapError as exc:
+            outcome: object = exc
         else:
-            partition = detect.detect_lp(graph, seed)
-        q = modularity(graph, partition)
-        q_values.append(q)
-        nmi_values.append(nmi(partition, reference))
-        if q > best_q:
-            best_q, best = q, partition
+            # MO's best level already holds Q: its exact numerator over
+            # 4*m**2, the float `modularity` gives. With no edges Q is
+            # undefined, and `modularity` raises that.
+            q = dendrogram.best.q if algorithm == "mo" and graph.m \
+                else modularity(graph, partition)
+            outcome = (q, nmi(partition, reference), partition)
+    return outcome, [(w.message, w.category, w.filename, w.lineno)
+                     for w in caught]
+
+
+def _batch_record(algorithm: str,
+                  outcomes: list) -> tuple[dict, Partition | None]:
+    if isinstance(outcomes[0], SizeCapError):  # a cap refuses every seed
+        return {"skipped": str(outcomes[0])}, None
+    q_values = [q for q, _, _ in outcomes]
+    nmi_values = [value for _, value, _ in outcomes]
     mean_q = sum(q_values) / len(q_values)
+    # The first run of maximal Q is the best.
+    best = max(outcomes, key=lambda outcome: outcome[0])[2]
     return {
         "algorithm": algorithm,
         "runs": len(q_values),
@@ -207,3 +228,69 @@ def run_batch(
         "peak_nmi": max(nmi_values),
         "significant": mean_q >= SIGNIFICANT_Q,
     }, best
+
+
+def run_batch(
+    graph: ClassGraph,
+    algorithms: Sequence[str],
+    runs: int,
+    base_seed: int,
+    reference: Partition,
+) -> dict[str, tuple[dict, Partition | None]]:
+    """Run `runs` seeded detections (seeds base, base+1, ...) of each named
+    algorithm and aggregate them per algorithm. EB is deterministic and
+    executes exactly once regardless of `runs`.
+
+    Maps each algorithm to the report's batch record (``algorithm``,
+    ``runs``, per-run ``q_values`` and ``nmi_values`` against `reference`,
+    ``mean_q``, ``max_q``, ``peak_nmi`` and ``significant``) and the best-Q
+    run's partition; a detector that refuses the graph's size gets the
+    record ``{"skipped": reason}`` and no partition instead.
+
+    The runs of all the algorithms form one task list, in the order named.
+    They execute on min(runs, tasks, usable CPUs) workers forked from this
+    process, or in this process when that is 1; results are gathered in
+    task order, so the records do not depend on the worker count. Warnings
+    the runs raise are re-emitted here in task order, and the first error a
+    run raises, in task order, propagates. Workers are forked, which is
+    safe only while this process runs no other thread; the CLI runs none.
+    """
+    global _batch_input
+    if runs < 1:
+        raise GraphError("runs must be >= 1")
+    for algorithm in algorithms:
+        if algorithm not in ("eb", "mo", "lp"):
+            raise GraphError(f"unknown algorithm {algorithm!r}")
+    outcomes: dict[str, list] = {algorithm: [] for algorithm in algorithms}
+    tasks = [(algorithm, seed) for algorithm in outcomes
+             for seed in ([base_seed] if algorithm == "eb"
+                          else range(base_seed, base_seed + runs))]
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS
+    workers = min(runs, len(tasks), len(affinity(0)) if affinity else 1)
+    warned: list[tuple] = []
+
+    def gather(results) -> None:
+        for (algorithm, _), (outcome, caught) in zip(tasks, results):
+            outcomes[algorithm].append(outcome)
+            warned.extend(caught)
+
+    _batch_input = (graph, reference)
+    try:
+        if workers <= 1:
+            gather(map(_run_task, tasks))
+        else:
+            # Imported here: start-up pays for it only when workers run.
+            import multiprocessing
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                gather(pool.imap(_run_task, tasks))
+    finally:
+        _batch_input = None
+        # Re-emitted as if raised in depnet.detect, where the LP cap warns,
+        # and only once no run's catch_warnings can reset the registry that
+        # lets the default filter print a repeated warning once.
+        registry = vars(detect).setdefault("__warningregistry__", {})
+        for message, category, filename, lineno in warned:
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   module=detect.__name__, registry=registry)
+    return {algorithm: _batch_record(algorithm, results)
+            for algorithm, results in outcomes.items()}

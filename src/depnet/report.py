@@ -11,7 +11,7 @@ import datetime
 import json
 import os
 
-from .errors import GraphError, SizeCapError
+from .errors import GraphError
 from .graph import ClassGraph
 from .metrics import modularity, package_analysis, run_batch, size_distribution
 
@@ -103,7 +103,12 @@ def _timestamp() -> str | None:
 def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
     """Run the full analysis (package metrics + all detectors) into one dict,
     with the settings `runs`, `eb_runs`, `seed`, `xmin` and `package_depth`
-    read from `config`, which the report records."""
+    read from `config`, which the report records.
+
+    EB's one run and the seeded MO and LP runs go to one `run_batch` call,
+    so on more than one usable CPU they share its forked workers; the
+    report's bytes do not depend on how many there are. A detector that
+    refuses the graph's size is recorded as ``{"skipped": reason}``."""
     # Imported here: OpenSSL's _hashlib is slow to load and only this uses it.
     import hashlib
 
@@ -115,15 +120,13 @@ def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
 
     algo_section: dict[str, dict] = {}
     distributions = {"packages": size_distribution(packages, xmin)}
-    for algo in ("eb", "mo", "lp"):
-        runs = config["eb_runs" if algo == "eb" else "runs"]
-        try:
-            record, best = run_batch(graph, algo, runs, config["seed"], packages)
-        except SizeCapError as exc:
-            algo_section[algo] = {"skipped": str(exc)}
-            continue
+    # EB first: its one long run then overlaps the seeded MO and LP runs.
+    batches = run_batch(graph, ("eb", "mo", "lp"), config["runs"],
+                        config["seed"], packages)
+    for algo, (record, best) in batches.items():
         algo_section[algo] = record
-        distributions[f"communities_{algo}"] = size_distribution(best, xmin)
+        if best is not None:
+            distributions[f"communities_{algo}"] = size_distribution(best, xmin)
 
     n_packages = len(set(packages))
     return {

@@ -1,3 +1,6 @@
+import importlib.util
+import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -10,6 +13,8 @@ from depnet import DependencyKind, build_graph
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_DIR = DATA_DIR / "corpus"
 GOLDEN_EDGES = DATA_DIR / "corpus_golden_edges.tsv"
+PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+_GET_CONTEXT = multiprocessing.get_context
 
 F = DependencyKind.FIELD
 
@@ -19,6 +24,37 @@ def graph_from_pairs(pairs, n=None):
     nodes = n if n is not None else max(max(p) for p in pairs) + 1
     fqns = [f"n{i}" for i in range(nodes)]
     return build_graph(fqns, [(fqns[u], fqns[v], F) for u, v in pairs])
+
+
+def generate_tree(out_dir: Path, seed: int, classes: int) -> Path:
+    """Write the `perfbench/gen.py` tree of `classes` classes for a seed
+    (`out_dir/src/**.chd` and `out_dir/expected_edges.tsv`); returns
+    out_dir."""
+    gen = sys.modules.get("perfbench_gen")
+    if gen is None:
+        spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                      PERFBENCH_GEN)
+        gen = importlib.util.module_from_spec(spec)
+        sys.modules["perfbench_gen"] = gen  # its dataclasses look it up
+        spec.loader.exec_module(gen)
+    gen.generate(out_dir, seed, gen.Shape(classes, per_package=10, refs=4))
+    return out_dir
+
+
+def use_cpus(monkeypatch, count: int) -> list:
+    """Make `count` CPUs usable, as `os.sched_getaffinity` reports them, so
+    that seeded runs use that many workers. Returns the list to which each
+    pool created from then on appends its start method."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+    methods: list = []
+
+    def spy(method=None):
+        methods.append(method)
+        return _GET_CONTEXT(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return methods
 
 
 @pytest.fixture

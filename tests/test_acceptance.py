@@ -213,8 +213,8 @@ def test_criterion_11_reference_network_cross_check():
     reference = package_partition(graph)
     summary = {}
     for algo in ("mo", "lp"):
-        record, _ = run_batch(graph, algo, runs=10, base_seed=42,
-                              reference=reference)
+        record, _ = run_batch(graph, (algo,), runs=10, base_seed=42,
+                              reference=reference)[algo]
         summary[algo] = record["mean_q"]
         assert 0.40 <= record["mean_q"] <= 0.80
         assert record["significant"]

@@ -378,11 +378,11 @@ class TestExitCodes:
 def test_cli_import_skips_xml_and_network_modules():
     """Start-up stays lean: xml.sax.saxutils (GraphML export only) pulls in
     urllib.request, http.client and ssl; hashlib (report digest only) loads
-    OpenSSL."""
+    OpenSSL; multiprocessing is needed only when seeded runs fork workers."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, depnet.cli; "
-            "print([m for m in ('xml.sax.saxutils', 'http.client', 'hashlib') "
-            "if m in sys.modules])")
+            "print([m for m in ('xml.sax.saxutils', 'http.client', 'hashlib', "
+            "'multiprocessing') if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True,
                             env={"PYTHONPATH": str(src)})

@@ -12,9 +12,11 @@ from depnet import (GraphError, SizeCapError, connected_components,
 from depnet import detect
 from depnet.detect import _edge_betweenness, _lp_sweeps
 from depnet.graph import component_labels, relabel_dense
+from depnet.ingest import load_edge_list
+from depnet.metrics import package_analysis
 
 import oracles
-from conftest import graph_from_pairs
+from conftest import generate_tree, graph_from_pairs
 from oracles import (blocks_of, detect_eb_reference, detect_mo_reference,
                      edge_betweenness_reference, lp_sweeps_reference,
                      random_multigraph, random_partition,
@@ -475,6 +477,36 @@ class TestLPMatchesReference:
             g = random_sparse_multigraph(rng, n, rng.choice([0.8, 2.0]))
             initial = [rng.choice(pool) for _ in range(n)]
             assert_lp_matches_reference(g, initial, rng.randrange(1 << 32))
+
+    def test_equal_label_of_another_type_drops_cached_candidates(self):
+        """On the path 0-1-2 from labels [1, True, 2], seed 5's first sweep
+        moves node 0 from 1 to True, an equal object of another type. Node
+        1's maximal labels become [2, True] (they were [1, 2]), and it draws
+        True; with its cached list kept because 1 == True, it would draw 2
+        and all three would end at 2."""
+        path = graph_from_pairs([(0, 1), (1, 2)])
+        assert_lp_matches_reference(path, [1, True, 2], 5)
+        labels = [1, True, 2]
+        _lp_sweeps(path, labels, random.Random(5))
+        assert [repr(x) for x in labels] == ["True"] * 3
+
+    @pytest.fixture(scope="class")
+    def generated_2000(self, tmp_path_factory):
+        out = generate_tree(tmp_path_factory.mktemp("gen"), 1, 2000)
+        with open(out / "expected_edges.tsv", encoding="utf-8") as stream:
+            return load_edge_list(stream)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generated_2000_classes(self, generated_2000, seed):
+        """`detect_lp` and `refine_packages` from P+ at benchmark scale."""
+        g = generated_2000
+        expected = list(range(g.n_nodes))
+        lp_sweeps_reference(g, expected, random.Random(seed))
+        assert detect_lp(g, seed) == relabel_dense(expected)
+        _, packages_plus, _ = package_analysis(g)
+        expected = list(packages_plus)
+        lp_sweeps_reference(g, expected, random.Random(seed))
+        assert refine_packages(g, packages_plus, seed) == tuple(expected)
 
 
 class TestRefine:

@@ -90,7 +90,7 @@ def test_partition_producers_return_tuples(two_triangles):
         detect_mo(two_triangles, 0)[0],
         detect_lp(two_triangles, 0),
         refine_packages(two_triangles, packages, 0),
-        run_batch(two_triangles, "mo", 2, 0, packages)[1],
+        run_batch(two_triangles, ("mo",), 2, 0, packages)["mo"][1],
         packages,
         load_partition(stream, two_triangles),
         split_disconnected(two_triangles, packages),

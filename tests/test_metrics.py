@@ -1,4 +1,9 @@
+import json
 import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +12,13 @@ from depnet import (GraphError, build_graph, connected_components, detect_lp,
                     detect_mo, fit_power_law, induced_subgraph, modularity,
                     nmi, report, run_batch, size_distribution,
                     split_disconnected)
+from depnet import detect
+from depnet.cli import main
 from depnet.graph import DependencyKind, relabel_dense
+from depnet.ingest import load_edge_list, package_partition
 from depnet.metrics import package_analysis
 
-from conftest import graph_from_pairs
+from conftest import generate_tree, graph_from_pairs, use_cpus
 from oracles import (blocks_of, modularity_ordered_pairs, nmi_direct, random_multigraph,
                      random_partition, random_sparse_multigraph,
                      split_disconnected_reference)
@@ -133,6 +141,27 @@ class TestSplitDisconnected:
             for block in blocks_of(result).values():
                 sub = induced_subgraph(g, block)
                 assert len(set(connected_components(sub))) == 1
+
+    def test_part_names_skip_labels_in_use(self, tmp_path):
+        """Package p splits into {p.A, p.B} and {p.C, p.D}, and p#1 is the
+        package of p#1.E: the parts are named p#2 and p#3, so P+ has three
+        connected blocks and splitting it again changes nothing."""
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("#depnet-edges v1 isolated=drop\n"
+                         "p#1.E\tp.D\tfield\n"
+                         "p.A\tp.B\tfield\n"
+                         "p.C\tp.D\tfield\n")
+        with open(edges, encoding="utf-8") as stream:
+            g = load_edge_list(stream)
+        _, packages_plus, _ = package_analysis(g)
+        assert dict(zip(g.fqns, packages_plus)) == {
+            "p#1.E": "p#1", "p.A": "p#2", "p.B": "p#2", "p.C": "p#3",
+            "p.D": "p#3"}
+        assert split_disconnected(g, packages_plus) == packages_plus
+        out = tmp_path / "report.json"
+        assert main(["report", str(edges), "--runs", "2",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["packages"]["blocks_plus"] == 3
 
     def test_label_order_matches_reference(self):
         rng = random.Random(31)
@@ -272,22 +301,26 @@ class TestPowerLawFit:
 
 class TestRunBatch:
     def test_single_run_mean(self, two_triangles, triangle_partition):
-        record, best = run_batch(two_triangles, "lp", 1, 42, triangle_partition)
+        record, best = run_batch(two_triangles, ("lp",), 1, 42,
+                                 triangle_partition)["lp"]
         assert record["mean_q"] == record["q_values"][0]
         assert len(best) == two_triangles.n_nodes
 
     def test_mo_unique_optimum(self, two_triangles, triangle_partition):
-        record, best = run_batch(two_triangles, "mo", 5, 0, triangle_partition)
+        record, best = run_batch(two_triangles, ("mo",), 5, 0,
+                                 triangle_partition)["mo"]
         assert record["mean_q"] == pytest.approx(5 / 14)
         assert record["peak_nmi"] == pytest.approx(1.0)
         assert relabel_dense(best) == relabel_dense(triangle_partition)
 
     def test_eb_runs_once(self, two_triangles, triangle_partition):
-        record, _ = run_batch(two_triangles, "eb", 10, 0, triangle_partition)
+        record, _ = run_batch(two_triangles, ("eb",), 10, 0,
+                              triangle_partition)["eb"]
         assert len(record["q_values"]) == record["runs"] == 1
 
     def test_mean_within_bounds(self, two_triangles, triangle_partition):
-        record, _ = run_batch(two_triangles, "lp", 20, 0, triangle_partition)
+        record, _ = run_batch(two_triangles, ("lp",), 20, 0,
+                              triangle_partition)["lp"]
         q_values = record["q_values"]
         assert min(q_values) <= record["mean_q"] <= max(q_values)
         assert record["peak_nmi"] == max(record["nmi_values"])
@@ -296,14 +329,103 @@ class TestRunBatch:
     def test_record_matches_schema(self, two_triangles, triangle_partition,
                                    algorithm):
         jsonschema = pytest.importorskip("jsonschema")
-        record, _ = run_batch(two_triangles, algorithm, 3, 0,
-                              triangle_partition)
+        record, _ = run_batch(two_triangles, (algorithm,), 3, 0,
+                              triangle_partition)[algorithm]
         jsonschema.validate(record, report._BATCH_SCHEMA)
         assert record["algorithm"] == algorithm
 
     def test_unknown_algorithm(self, two_triangles, triangle_partition):
         with pytest.raises(GraphError):
-            run_batch(two_triangles, "louvain", 1, 0, triangle_partition)
+            run_batch(two_triangles, ("louvain",), 1, 0, triangle_partition)
+
+    def test_mo_q_is_modularity_of_each_run(self, tmp_path):
+        """MO's Q comes from its best level, not a recount: the same float."""
+        edges = generate_tree(tmp_path, 4, 100) / "expected_edges.tsv"
+        with open(edges, encoding="utf-8") as stream:
+            g = load_edge_list(stream)
+        record, _ = run_batch(g, ("mo",), 20, 0, package_partition(g))["mo"]
+        assert record["q_values"] == [modularity(g, detect_mo(g, seed)[0])
+                                      for seed in range(20)]
+
+    @pytest.mark.parametrize("algorithm", ["mo", "lp", "eb"])
+    def test_no_edges_raises_modularity_error(self, algorithm):
+        g = build_graph(["a.A", "a.B", "b.C"], [])
+        with pytest.raises(GraphError,
+                           match="modularity undefined for a graph with no edges"):
+            run_batch(g, (algorithm,), 2, 0, ("a", "a", "b"))
+
+
+class TestRunBatchWorkers:
+    """Each CPU count makes a different number of workers; the results,
+    warnings and errors must not depend on it."""
+
+    @staticmethod
+    def cap_hits(graph, algorithms, runs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_batch(graph, algorithms, runs, 0, (0,) * graph.n_nodes)
+        return [(w.category, str(w.message), w.filename, w.lineno)
+                for w in caught]
+
+    def test_cap_warnings_in_seed_order(self, monkeypatch):
+        monkeypatch.setattr(detect, "LP_SWEEP_CAP", 1)
+        path = graph_from_pairs([(u, u + 1) for u in range(40)])
+        expected = []
+        for seed in range(6):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                detect_lp(path, seed)
+            expected += [(w.category, str(w.message), w.filename, w.lineno)
+                         for w in caught]
+        assert len(expected) == 6
+        for count, pools in ((1, []), (2, ["fork", "fork"])):
+            methods = use_cpus(monkeypatch, count)
+            assert self.cap_hits(path, ("mo", "lp"), 6) == expected
+            assert self.cap_hits(path, ("lp",), 6) == expected
+            assert methods == pools
+
+    def test_cap_warning_printed_once_as_in_one_process(self, tmp_path):
+        """Under the default filter a repeated warning prints once, at
+        depnet/detect.py, whichever process raised it."""
+        network = tmp_path / "path.tsv"
+        network.write_text("#depnet-edges v1 isolated=drop\n" + "".join(
+            f"{a}\t{b}\tfield\n" for a, b in sorted(
+                tuple(sorted((f"n{u}", f"n{u + 1}"))) for u in range(40))))
+        script = ("import os, sys; from depnet import detect; "
+                  "from depnet.cli import main; "
+                  "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1]))); "
+                  "detect.LP_SWEEP_CAP = 1; sys.exit(main(sys.argv[2:]))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for count in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", script, count, "detect", str(network),
+                 "--algo", "lp", "--runs", "4"],
+                capture_output=True, text=True, check=True, timeout=120,
+                env={"PYTHONPATH": str(src)})
+            outputs.append((result.stdout, result.stderr))
+        assert outputs[0] == outputs[1]
+        stderr = outputs[0][1]
+        assert stderr.count("hit the sweep cap (1)") == 1
+        assert stderr.startswith(str(src / "depnet" / "detect.py") + ":")
+
+    def test_first_error_in_task_order_propagates(self, monkeypatch,
+                                                  two_triangles):
+        real = detect.detect_lp
+
+        def failing(graph, seed):
+            if seed >= 2:
+                raise GraphError(f"no labels for seed {seed}")
+            return real(graph, seed)
+
+        monkeypatch.setattr(detect, "detect_lp", failing)
+        for count, pools in ((1, []), (2, ["fork"])):
+            methods = use_cpus(monkeypatch, count)
+            with pytest.raises(GraphError) as info:
+                run_batch(two_triangles, ("mo", "lp"), 4, 0, (0,) * 6)
+            assert type(info.value) is GraphError
+            assert str(info.value) == "no labels for seed 2"
+            assert methods == pools
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

@@ -1,7 +1,10 @@
 import pytest
 
 from depnet import GraphError, detect
+from depnet.cli import main
 from depnet.report import build_report
+
+from conftest import CORPUS_DIR, generate_tree, use_cpus
 
 
 def test_run_settings_come_from_config(two_triangles):
@@ -28,3 +31,19 @@ def test_zero_runs_rejected_before_any_detector(two_triangles, monkeypatch, key)
               "package_depth": None, key: 0}
     with pytest.raises(GraphError, match="runs must be >= 1"):
         build_report(two_triangles, config, b"")
+
+
+@pytest.mark.parametrize("tree", ["corpus", "generated"])
+def test_report_bytes_independent_of_workers(tmp_path, monkeypatch, tree):
+    """EB's run and the 100 MO and 100 LP runs share one pool of forked
+    workers on 2 CPUs and run in this process on 1; the bytes are equal."""
+    source = CORPUS_DIR if tree == "corpus" \
+        else generate_tree(tmp_path, 2, 100) / "src"
+    reports = []
+    for count, pools in ((1, []), (2, ["fork"])):
+        methods = use_cpus(monkeypatch, count)
+        out = tmp_path / f"report-{count}.json"
+        assert main(["report", str(source), "--out", str(out)]) == 0
+        assert methods == pools
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
