@@ -1,34 +1,49 @@
 """Class dependency networks: extraction, community detection, metrics,
-package refinement, and community-abstraction export."""
+package refinement, and community-abstraction export.
 
-from .abstract import (CommunityGraph, community_network, export,
-                       largest_components_filter)
-from .detect import (Dendrogram, detect_eb, detect_lp, detect_mo,
-                     edge_betweenness, refine_packages)
-from .errors import (DepnetError, FormatError, GraphError, ParseError,
-                     ResolveError, SizeCapError)
-from .graph import (ClassGraph, DependencyKind, build_graph,
-                    collapse_to_weighted, connected_components,
-                    induced_subgraph, remove_isolated)
-from .headers import ClassDecl, TypeRef, parse_class_headers
-from .ingest import (ResolveOptions, load_edge_list, load_partition,
-                     package_partition, parse_corpus, resolve_dependencies,
-                     write_edge_list, write_partition)
-from .metrics import (fit_power_law, modularity, nmi, run_batch,
-                      size_distribution, split_disconnected)
+`import depnet` loads no layer: each public name is imported from its home
+module the first time it is used (PEP 562). Each `depnet` command likewise
+imports only the layers it runs, so one that never detects communities
+never loads the detectors.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassDecl", "ClassGraph", "CommunityGraph", "Dendrogram",
-    "DependencyKind", "DepnetError", "FormatError", "GraphError", "ParseError",
-    "ResolveError", "ResolveOptions", "SizeCapError", "TypeRef",
-    "build_graph", "collapse_to_weighted", "community_network",
-    "connected_components", "detect_eb", "detect_lp", "detect_mo",
-    "edge_betweenness", "export", "fit_power_law", "induced_subgraph",
-    "largest_components_filter", "load_edge_list", "load_partition",
-    "modularity", "nmi", "package_partition", "parse_class_headers",
-    "parse_corpus", "refine_packages", "remove_isolated",
-    "resolve_dependencies", "run_batch", "size_distribution",
-    "split_disconnected", "write_edge_list", "write_partition",
-]
+# The `depnet abstract --format` choices; here, so that the CLI can offer
+# them without loading the abstraction layer.
+EXPORT_FORMATS = ("dot", "graphml", "json")
+
+# Home module of each public name.
+_HOMES = {
+    "abstract": ("CommunityGraph", "community_network", "export",
+                 "largest_components_filter"),
+    "detect": ("Dendrogram", "detect_eb", "detect_lp", "detect_mo",
+               "edge_betweenness", "refine_packages"),
+    "errors": ("DepnetError", "FormatError", "GraphError", "ParseError",
+               "ResolveError", "SizeCapError"),
+    "graph": ("ClassGraph", "DependencyKind", "build_graph",
+              "collapse_to_weighted", "connected_components",
+              "induced_subgraph", "remove_isolated"),
+    "headers": ("ClassDecl", "TypeRef", "parse_class_headers"),
+    "ingest": ("ResolveOptions", "load_edge_list", "load_partition",
+               "package_partition", "parse_corpus", "resolve_dependencies",
+               "write_edge_list", "write_partition"),
+    "metrics": ("fit_power_law", "modularity", "nmi", "run_batch",
+                "size_distribution", "split_disconnected"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from .errors import FormatError, GraphError
 from .graph import ClassGraph, Partition, check_cover, component_labels
 
-EXPORT_FORMATS = ("dot", "graphml", "json")
-
 
 @dataclass(frozen=True)
 class Community:
@@ -108,7 +106,8 @@ def largest_components_filter(cgraph: CommunityGraph, k: int) -> CommunityGraph:
 
 
 def export(cgraph: CommunityGraph, fmt: str) -> str:
-    """Serialize a community graph; output is byte-stable for a fixed input."""
+    """Serialize a community graph in one of `depnet.EXPORT_FORMATS`;
+    output is byte-stable for a fixed input."""
     if fmt == "dot":
         return _export_dot(cgraph)
     if fmt == "graphml":

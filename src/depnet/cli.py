@@ -1,6 +1,10 @@
 """Command-line driver: extraction, detection, metrics, refinement, export.
 
 Exit status: 0 on success, 1 on usage/config errors, 2 on data errors.
+
+Each command imports the layers it runs inside its body, so that start-up
+loads only click and this module, and `report` on an edge file never loads
+the header parser.
 """
 
 from __future__ import annotations
@@ -9,20 +13,15 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import report as report_mod
-from .abstract import (EXPORT_FORMATS, community_network, export,
-                       largest_components_filter)
-from .detect import refine_packages
+from . import EXPORT_FORMATS
 from .errors import DepnetError, SizeCapError
-from .graph import ClassGraph, Partition, build_graph, remove_isolated
-from .ingest import (ResolveOptions, load_edge_list, load_partition,
-                     package_partition, parse_corpus, read_text,
-                     write_edge_list, write_partition)
-from .metrics import (modularity, nmi, package_analysis, run_batch,
-                      size_distribution)
+
+if TYPE_CHECKING:
+    from .graph import ClassGraph, Partition
 
 DEFAULT_RUNS = 100
 DEFAULT_EB_RUNS = 10
@@ -30,6 +29,8 @@ DEFAULT_SEED = 42
 
 
 def _collect_sources(inputs: tuple[str, ...]) -> list[tuple[str, str]]:
+    from .ingest import read_text
+
     paths: list[Path] = []
     for item in inputs:
         path = Path(item)
@@ -43,10 +44,14 @@ def _collect_sources(inputs: tuple[str, ...]) -> list[tuple[str, str]]:
 
 
 def _load_graph(network: str) -> ClassGraph:
+    from .ingest import load_edge_list, read_text
+
     return load_edge_list(io.StringIO(read_text(network)))
 
 
 def _load_partition(path: str, graph: ClassGraph) -> Partition:
+    from .ingest import load_partition, read_text
+
     return load_partition(io.StringIO(read_text(path)), graph)
 
 
@@ -61,6 +66,9 @@ def _extract_graph(inputs: tuple[str, ...], keep_external: bool,
                    type_args: bool) -> tuple[ClassGraph, list[tuple[str, str]]]:
     """The dependency graph of the .chd sources, without isolated nodes,
     and the (path, text) sources it was built from."""
+    from .graph import build_graph, remove_isolated
+    from .ingest import ResolveOptions, parse_corpus
+
     sources = _collect_sources(inputs)
     opts = ResolveOptions(keep_external=keep_external,
                           include_type_arguments=type_args)
@@ -84,6 +92,8 @@ def cli() -> None:
               help="Truncate packages to this many segments when counting |P|.")
 def cmd_extract(inputs, out, keep_external, type_args, package_depth):
     """Parse .chd header sources into an edge TSV network file."""
+    from .ingest import package_partition, write_edge_list
+
     graph, _ = _extract_graph(inputs, keep_external, type_args)
     packages = package_partition(graph, package_depth)
     if graph.n_nodes == 0:
@@ -107,6 +117,9 @@ def cmd_extract(inputs, out, keep_external, type_args, package_depth):
 @click.option("--out", default=None, help="Partition TSV output path.")
 def cmd_detect(network, algo, runs, seed, package_depth, out):
     """Run one detection algorithm; write the best-Q partition and stats."""
+    from .ingest import package_partition, write_partition
+    from .metrics import run_batch
+
     graph = _load_graph(network)
     reference = package_partition(graph, package_depth)
     record, best = run_batch(graph, (algo,), runs, seed, reference)[algo]
@@ -130,6 +143,8 @@ def cmd_metrics(network, partitions, xmin, package_depth, out):
     Each partition is named by its file basename; names must be distinct
     and must not be 'P' or 'P+'.
     """
+    from .metrics import modularity, nmi, package_analysis, size_distribution
+
     graph = _load_graph(network)
     packages, packages_plus, disconnected = package_analysis(graph, package_depth)
     named = {"P": packages, "P+": packages_plus}
@@ -167,6 +182,10 @@ def cmd_metrics(network, partitions, xmin, package_depth, out):
 @click.option("--out", default=None, help="Refined partition TSV output path.")
 def cmd_refine(network, seed, package_depth, out):
     """Refine the package partition by constrained label propagation."""
+    from .detect import refine_packages
+    from .ingest import write_partition
+    from .metrics import modularity, nmi, package_analysis
+
     graph = _load_graph(network)
     packages, packages_plus, _ = package_analysis(graph, package_depth)
     refined = refine_packages(graph, packages_plus, seed)
@@ -194,6 +213,9 @@ def cmd_refine(network, seed, package_depth, out):
 @click.option("--out", default=None)
 def cmd_abstract(network, partition, fmt, components, package_depth, out):
     """Export the community-abstraction network for a stored partition."""
+    from .abstract import community_network, export, largest_components_filter
+    from .ingest import package_partition
+
     graph = _load_graph(network)
     part = _load_partition(partition, graph)
     packages = package_partition(graph, package_depth)
@@ -222,6 +244,8 @@ def cmd_report(source, runs, eb_runs, seed, xmin, package_depth,
 
     SOURCE may be an edge TSV file or a directory of .chd header sources.
     """
+    from .report import build_report, dump_report
+
     path = Path(source)
     if path.is_dir():
         graph, sources = _extract_graph((source,), keep_external, type_args)
@@ -239,8 +263,7 @@ def cmd_report(source, runs, eb_runs, seed, xmin, package_depth,
         "keep_external": keep_external,
         "type_args": type_args,
     }
-    doc = report_mod.build_report(graph, config, input_bytes)
-    _emit(report_mod.dump_report(doc), out)
+    _emit(dump_report(build_report(graph, config, input_bytes)), out)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -146,12 +146,13 @@ def build_graph(
     index = {fqn: i for i, fqn in enumerate(fqns)}
     edges = []
     for src, dst, kind in dependencies:
-        for endpoint in (src, dst):
-            if endpoint not in index:
-                raise GraphError(f"dependency endpoint {endpoint!r} not in class list")
-        if src == dst:
-            continue
-        edges.append((index[src], index[dst], kind))
+        u = index.get(src)
+        v = index.get(dst)
+        if u is None or v is None:
+            endpoint = src if u is None else dst
+            raise GraphError(f"dependency endpoint {endpoint!r} not in class list")
+        if u != v:
+            edges.append((u, v, kind))
     return ClassGraph(fqns, edges)
 
 

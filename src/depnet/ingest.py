@@ -10,16 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FormatError, GraphError, ResolveError
 from .graph import (ClassGraph, DependencyKind, Partition, build_graph,
                     remove_isolated)
-from .headers import ClassDecl, parse_class_headers
+
+if TYPE_CHECKING:
+    from .headers import ClassDecl
 
 EDGE_HEADER_PREFIX = "#depnet-edges v1 isolated="
 
 Dependency = tuple[str, str, DependencyKind]
+
+# An edge file's kind token -> its DependencyKind.
+_KINDS = {kind.value: kind for kind in DependencyKind}
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,9 @@ def parse_corpus(
     opts: ResolveOptions = ResolveOptions(),
 ) -> tuple[list[str], list[Dependency]]:
     """Parse (filename, text) pairs and resolve the merged declaration table."""
+    # Imported here: an edge file is loaded without the header parser.
+    from .headers import parse_class_headers
+
     decls: list[ClassDecl] = []
     for filename, text in sources:
         decls.extend(parse_class_headers(text, filename))
@@ -160,12 +168,11 @@ def load_edge_list(stream: IO[str]) -> ClassGraph:
         if len(parts) != 3:
             raise FormatError(f"line {lineno}: expected 3 tab-separated fields")
         src, dst, token = parts
-        try:
-            kind = DependencyKind(token)
-        except ValueError:
+        kind = _KINDS.get(token)
+        if kind is None:
             raise FormatError(
                 f"line {lineno}: unknown dependency kind {token!r}"
-            ) from None
+            )
         fqns.setdefault(src, None)
         fqns.setdefault(dst, None)
         raw_edges.append((src, dst, kind))

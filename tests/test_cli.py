@@ -375,18 +375,39 @@ class TestExitCodes:
         assert out_env.read_bytes() == out_flag.read_bytes()
 
 
-def test_cli_import_skips_xml_and_network_modules():
+def test_cli_import_skips_xml_and_network_modules(tmp_path):
     """Start-up stays lean: xml.sax.saxutils (GraphML export only) pulls in
     urllib.request, http.client and ssl; hashlib (report digest only) loads
-    OpenSSL; multiprocessing is needed only when seeded runs fork workers."""
+    OpenSSL; multiprocessing is needed only when seeded runs fork workers.
+    Of depnet itself, start-up loads only the CLI, and each command only the
+    layers it runs: extraction no detector, metric, report or abstraction,
+    and a report on an edge file no header parser or abstraction."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, depnet.cli; "
-            "print([m for m in ('xml.sax.saxutils', 'http.client', 'hashlib', "
-            "'multiprocessing') if m in sys.modules])")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, check=True,
-                            env={"PYTHONPATH": str(src)})
-    assert result.stdout.strip() == "[]"
+
+    def loaded(code: str) -> set[str]:
+        result = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; {code}; print(*sorted(sys.modules), sep=chr(10))"],
+            capture_output=True, text=True, check=True, cwd=tmp_path,
+            env={"PYTHONPATH": str(src)})
+        return set(result.stdout.split())
+
+    startup = loaded("import depnet.cli")
+    assert startup & {"xml.sax.saxutils", "http.client", "hashlib",
+                      "multiprocessing"} == set()
+    assert {m for m in startup if m.startswith("depnet")} == {
+        "depnet", "depnet.cli", "depnet.errors"}
+
+    run = "from depnet.cli import main; assert main({!r}) == 0"
+    extract = loaded(run.format(
+        ["extract", str(CORPUS_DIR), "--out", "edges.tsv"]))
+    assert "depnet.headers" in extract
+    assert extract & {"depnet.detect", "depnet.metrics", "depnet.report",
+                      "depnet.abstract"} == set()
+    report = loaded(run.format(
+        ["report", "edges.tsv", "--runs", "1", "--out", "report.json"]))
+    assert "depnet.report" in report
+    assert report & {"depnet.headers", "depnet.abstract"} == set()
 
 
 def test_output_independent_of_hash_seed(tmp_path):

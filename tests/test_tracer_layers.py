@@ -42,7 +42,8 @@ def test_traced_extract_and_report_record_every_count(tmp_path):
     """A traced run must succeed and fill every counter: the counters read
     attributes of depnet's results (`.n_edges`, `.m`, `levels`,
     `best_index`, `include_constructors`) that no other test pins. The
-    tracer patches modules, so each run is its own process."""
+    tracer patches modules, so each run is its own process; the commands
+    on the extracted edges must still reach the patched functions."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     spans = []
     for run_id, args in [
@@ -50,6 +51,10 @@ def test_traced_extract_and_report_record_every_count(tmp_path):
                      str(tmp_path / "edges.tsv")]),
         ("report", ["report", str(CORPUS_DIR), "--runs", "1",
                     "--out", str(tmp_path / "report.json")]),
+        ("refine", ["refine", "edges.tsv", "--out", "refined.tsv"]),
+        ("detect", ["detect", "edges.tsv", "--algo", "lp", "--runs", "1",
+                    "--out", "part.tsv"]),
+        ("abstract", ["abstract", "edges.tsv", "part.tsv"]),
     ]:
         spans_path = tmp_path / f"{run_id}.json"
         result = subprocess.run(
@@ -58,5 +63,9 @@ def test_traced_extract_and_report_record_every_count(tmp_path):
         assert result.returncode == 0, result.stderr
         spans.extend(json.loads(spans_path.read_text()))
     assert [span for span in spans if "error" in span[5]] == []
+    # The commands import these inside their bodies, after the tracer has
+    # patched the modules that define them.
+    assert {"detect.refine_packages", "detect.detect_lp",
+            "abstract.export"} <= {span[0] for span in spans}
     recorded = {span[0] for span in spans if span[5]}
     assert set(tracer_module().COUNTS) - recorded == set()
