@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 # them without loading the abstraction layer.
 EXPORT_FORMATS = ("dot", "graphml", "json")
 
-# Home module of each public name.
+# The public names of each home module.
 _HOMES = {
     "abstract": ("CommunityGraph", "community_network", "export",
                  "largest_components_filter"),
