@@ -141,11 +141,23 @@ def _export_dot(cgraph: CommunityGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _export_graphml(cgraph: CommunityGraph) -> str:
-    # Imported here: xml.sax.saxutils pulls in urllib.request, http.client
-    # and ssl, which would otherwise load on every start-up.
-    from xml.sax.saxutils import escape, quoteattr
+# The rules of xml.sax.saxutils' escape and quoteattr, which are not
+# imported because they pull in urllib.request, http.client and email.
+def _xml_escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
+
+def _xml_quoteattr(text: str) -> str:
+    text = (_xml_escape(text).replace("\n", "&#10;").replace("\r", "&#13;")
+            .replace("\t", "&#9;"))
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
+def _export_graphml(cgraph: CommunityGraph) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -158,15 +170,15 @@ def _export_graphml(cgraph: CommunityGraph) -> str:
     for c in cgraph.communities:
         packages = json.dumps(c.packages, sort_keys=True)
         lines += [
-            f"    <node id={quoteattr(c.label)}>",
+            f"    <node id={_xml_quoteattr(c.label)}>",
             f'      <data key="size">{c.size}</data>',
             f'      <data key="self_weight">{c.self_weight}</data>',
-            f'      <data key="packages">{escape(packages)}</data>',
+            f'      <data key="packages">{_xml_escape(packages)}</data>',
             "    </node>",
         ]
     for e in cgraph.edges:
         lines += [
-            f"    <edge source={quoteattr(e.a)} target={quoteattr(e.b)}>",
+            f"    <edge source={_xml_quoteattr(e.a)} target={_xml_quoteattr(e.b)}>",
             f'      <data key="weight">{e.weight}</data>',
             "    </edge>",
         ]

@@ -1,26 +1,29 @@
 """Command-line driver: extraction, detection, metrics, refinement, export.
 
-Exit status: 0 on success, 1 on usage/config errors, 2 on data errors.
+Exit status: 0 on success (`--help` included), 1 on a usage error, 2 on a
+data error. A usage error prints one `error:` line and the usage to stderr.
+`DEPNET_SEED`, when set, is the default `--seed`.
 
-Each command imports the layers it runs inside its body, so that start-up
-loads only click and this module, and `report` on an edge file never loads
-the header parser.
+The command line needs only the standard library. Each command imports the
+layers it runs inside its body, so that start-up loads only argparse and
+this module, and `report` on an edge file never loads the header parser.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
-import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 from . import EXPORT_FORMATS
 from .errors import DepnetError, SizeCapError
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .graph import ClassGraph, Partition
 
 DEFAULT_RUNS = 100
@@ -28,7 +31,7 @@ DEFAULT_EB_RUNS = 10
 DEFAULT_SEED = 42
 
 
-def _collect_sources(inputs: tuple[str, ...]) -> list[tuple[str, str]]:
+def _collect_sources(inputs: Sequence[str]) -> list[tuple[str, str]]:
     from .ingest import read_text
 
     paths: list[Path] = []
@@ -59,10 +62,10 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-def _extract_graph(inputs: tuple[str, ...], keep_external: bool,
+def _extract_graph(inputs: Sequence[str], keep_external: bool,
                    type_args: bool) -> tuple[ClassGraph, list[tuple[str, str]]]:
     """The dependency graph of the .chd sources, without isolated nodes,
     and the (path, text) sources it was built from."""
@@ -76,20 +79,6 @@ def _extract_graph(inputs: tuple[str, ...], keep_external: bool,
     return remove_isolated(build_graph(fqns, deps)), sources
 
 
-@click.group()
-def cli() -> None:
-    """Class dependency networks: build, detect communities, measure, export."""
-
-
-@cli.command("extract")
-@click.argument("inputs", nargs=-1, required=True)
-@click.option("--out", required=True, help="Output edge TSV path.")
-@click.option("--keep-external", is_flag=True,
-              help="Keep unresolved type references as external nodes.")
-@click.option("--type-args", is_flag=True,
-              help="Also emit dependencies on generic type arguments.")
-@click.option("--package-depth", type=int, default=None,
-              help="Truncate packages to this many segments when counting |P|.")
 def cmd_extract(inputs, out, keep_external, type_args, package_depth):
     """Parse .chd header sources into an edge TSV network file."""
     from .ingest import package_partition, write_edge_list
@@ -97,26 +86,17 @@ def cmd_extract(inputs, out, keep_external, type_args, package_depth):
     graph, _ = _extract_graph(inputs, keep_external, type_args)
     packages = package_partition(graph, package_depth)
     if graph.n_nodes == 0:
-        click.echo("warning: all nodes isolated; wrote an empty edge file",
-                   err=True)
+        sys.stderr.write("warning: all nodes isolated; wrote an empty edge file\n")
     with open(out, "w", encoding="utf-8") as stream:
         write_edge_list(graph, stream)
-    click.echo(f"nodes={graph.n_nodes} edges={graph.m} "
-               f"packages={len(set(packages))}")
+    sys.stdout.write(f"nodes={graph.n_nodes} edges={graph.m} "
+                     f"packages={len(set(packages))}\n")
 
 
-@cli.command("detect")
-@click.argument("network")
-@click.option("--algo", type=click.Choice(["eb", "mo", "lp"]), required=True)
-@click.option("--runs", type=int, default=DEFAULT_RUNS, show_default=True,
-              help="Seeded runs. EB is deterministic and runs once, so for "
-                   "eb this must only be >= 1.")
-@click.option("--seed", type=int, default=DEFAULT_SEED, envvar="DEPNET_SEED",
-              show_default=True)
-@click.option("--package-depth", type=int, default=None)
-@click.option("--out", default=None, help="Partition TSV output path.")
 def cmd_detect(network, algo, runs, seed, package_depth, out):
     """Run one detection algorithm; write the best-Q partition and stats."""
+    import json
+
     from .ingest import package_partition, write_partition
     from .metrics import run_batch
 
@@ -128,21 +108,17 @@ def cmd_detect(network, algo, runs, seed, package_depth, out):
     if out:
         with open(out, "w", encoding="utf-8") as stream:
             write_partition(best, graph, stream)
-    click.echo(json.dumps(record, indent=2, sort_keys=True))
+    sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-@cli.command("metrics")
-@click.argument("network")
-@click.argument("partitions", nargs=-1)
-@click.option("--xmin", type=int, default=1, show_default=True)
-@click.option("--package-depth", type=int, default=None)
-@click.option("--out", default=None)
 def cmd_metrics(network, partitions, xmin, package_depth, out):
     """Package metrics plus NMI between every pair of supplied partitions.
 
     Each partition is named by its file basename; names must be distinct
     and must not be 'P' or 'P+'.
     """
+    import json
+
     from .metrics import modularity, nmi, package_analysis, size_distribution
 
     graph = _load_graph(network)
@@ -174,14 +150,10 @@ def cmd_metrics(network, partitions, xmin, package_depth, out):
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
-@cli.command("refine")
-@click.argument("network")
-@click.option("--seed", type=int, default=DEFAULT_SEED, envvar="DEPNET_SEED",
-              show_default=True)
-@click.option("--package-depth", type=int, default=None)
-@click.option("--out", default=None, help="Refined partition TSV output path.")
 def cmd_refine(network, seed, package_depth, out):
     """Refine the package partition by constrained label propagation."""
+    import json
+
     from .detect import refine_packages
     from .ingest import write_partition
     from .metrics import modularity, nmi, package_analysis
@@ -199,18 +171,9 @@ def cmd_refine(network, seed, package_depth, out):
         "nmi_refined_vs_packages": nmi(refined, packages),
         "labels": sorted(str(lbl) for lbl in set(refined)),
     }
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-@cli.command("abstract")
-@click.argument("network")
-@click.argument("partition")
-@click.option("--format", "fmt", type=click.Choice(EXPORT_FORMATS),
-              default="json", show_default=True)
-@click.option("--components", type=int, default=None,
-              help="Keep only the K largest connected components.")
-@click.option("--package-depth", type=int, default=None)
-@click.option("--out", default=None)
 def cmd_abstract(network, partition, fmt, components, package_depth, out):
     """Export the community-abstraction network for a stored partition."""
     from .abstract import community_network, export, largest_components_filter
@@ -225,24 +188,11 @@ def cmd_abstract(network, partition, fmt, components, package_depth, out):
     _emit(export(cgraph, fmt), out)
 
 
-@cli.command("report")
-@click.argument("source")
-@click.option("--runs", type=int, default=DEFAULT_RUNS, show_default=True)
-@click.option("--eb-runs", type=int, default=DEFAULT_EB_RUNS, show_default=True,
-              help="Recorded in the report's config. EB is deterministic and "
-                   "runs once, so this must only be >= 1.")
-@click.option("--seed", type=int, default=DEFAULT_SEED, envvar="DEPNET_SEED",
-              show_default=True)
-@click.option("--xmin", type=int, default=1, show_default=True)
-@click.option("--package-depth", type=int, default=None)
-@click.option("--keep-external", is_flag=True)
-@click.option("--type-args", is_flag=True)
-@click.option("--out", default=None)
 def cmd_report(source, runs, eb_runs, seed, xmin, package_depth,
                keep_external, type_args, out):
     """Full analysis document: metrics plus all detection algorithms.
 
-    SOURCE may be an edge TSV file or a directory of .chd header sources.
+    The source may be an edge TSV file or a directory of .chd header sources.
     """
     from .report import build_report, dump_report
 
@@ -266,21 +216,115 @@ def cmd_report(source, runs, eb_runs, seed, xmin, package_depth,
     _emit(dump_report(build_report(graph, config, input_bytes)), out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated option, offers `--help` alone,
+    and exits with status 1 on a usage error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help",
+                          help="Show this message and exit.")
+
+    def error(self, message: str):
+        # argparse exits with status 2, which depnet keeps for data errors.
+        self.exit(1, f"error: {message}\n{self.format_usage()}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The `depnet` command line, built per call so that `DEPNET_SEED` is
+    read when the arguments are parsed."""
+    parser = _Parser(prog="depnet", description=(
+        "Class dependency networks: build, detect communities, measure, "
+        "export."))
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run):
+        doc = run.__doc__ or ""  # None under python -OO
+        sub = commands.add_parser(name, help=doc.partition("\n")[0],
+                                  description=doc)
+        sub.set_defaults(run=run)
+        return sub
+
+    def int_option(sub, flag, default=None, text=None):
+        if default is not None:
+            text = f"{text or ''} (default: %(default)s)".lstrip()
+        sub.add_argument(flag, type=int, default=default, help=text)
+
+    def seed_option(sub):
+        sub.add_argument("--seed", type=int,
+                         default=os.environ.get("DEPNET_SEED") or DEFAULT_SEED,
+                         help="(default: %(default)s, or DEPNET_SEED)")
+
+    sub = command("extract", cmd_extract)
+    sub.add_argument("inputs", nargs="+")
+    sub.add_argument("--out", required=True, help="Output edge TSV path.")
+    sub.add_argument("--keep-external", action="store_true",
+                     help="Keep unresolved type references as external nodes.")
+    sub.add_argument("--type-args", action="store_true",
+                     help="Also emit dependencies on generic type arguments.")
+    int_option(sub, "--package-depth", text=(
+        "Truncate packages to this many segments when counting |P|."))
+
+    sub = command("detect", cmd_detect)
+    sub.add_argument("network")
+    sub.add_argument("--algo", choices=("eb", "mo", "lp"), required=True)
+    int_option(sub, "--runs", DEFAULT_RUNS, text=(
+        "Seeded runs. EB is deterministic and runs once, so for eb this "
+        "must only be >= 1."))
+    seed_option(sub)
+    int_option(sub, "--package-depth")
+    sub.add_argument("--out", help="Partition TSV output path.")
+
+    sub = command("metrics", cmd_metrics)
+    sub.add_argument("network")
+    sub.add_argument("partitions", nargs="*")
+    int_option(sub, "--xmin", 1)
+    int_option(sub, "--package-depth")
+    sub.add_argument("--out")
+
+    sub = command("refine", cmd_refine)
+    sub.add_argument("network")
+    seed_option(sub)
+    int_option(sub, "--package-depth")
+    sub.add_argument("--out", help="Refined partition TSV output path.")
+
+    sub = command("abstract", cmd_abstract)
+    sub.add_argument("network")
+    sub.add_argument("partition")
+    sub.add_argument("--format", dest="fmt", choices=EXPORT_FORMATS,
+                     default="json", help="(default: %(default)s)")
+    int_option(sub, "--components",
+               text="Keep only the K largest connected components.")
+    int_option(sub, "--package-depth")
+    sub.add_argument("--out")
+
+    sub = command("report", cmd_report)
+    sub.add_argument("source")
+    int_option(sub, "--runs", DEFAULT_RUNS)
+    int_option(sub, "--eb-runs", DEFAULT_EB_RUNS, text=(
+        "Recorded in the report's config. EB is deterministic and runs "
+        "once, so this must only be >= 1."))
+    seed_option(sub)
+    int_option(sub, "--xmin", 1)
+    int_option(sub, "--package-depth")
+    sub.add_argument("--keep-external", action="store_true")
+    sub.add_argument("--type-args", action="store_true")
+    sub.add_argument("--out")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the command that `argv` (default: `sys.argv[1:]`) names and
+    return its exit status."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.Abort:
-        return 1
+        args = vars(_parser().parse_args(argv))
+    except SystemExit as exc:  # after --help (0) or a usage error (1)
+        return exc.code
+    run = args.pop("run")
+    try:
+        run(**args)
     except (DepnetError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0
 

@@ -68,3 +68,17 @@ def two_triangles():
 @pytest.fixture
 def triangle_partition():
     return (0, 0, 0, 1, 1, 1)
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """Runs `depnet.cli.main` on an argument list in this process and
+    returns its exit code, stdout and stderr."""
+    from depnet.cli import main
+
+    def run(args):
+        code = main(list(args))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return run

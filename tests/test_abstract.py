@@ -3,10 +3,12 @@ import random
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depnet import (FormatError, GraphError, community_network, export,
                     largest_components_filter)
-from depnet.abstract import Community, CommunityEdge, CommunityGraph
+from depnet.abstract import (Community, CommunityEdge, CommunityGraph,
+                             _xml_escape, _xml_quoteattr)
 
 from conftest import graph_from_pairs
 from oracles import largest_components_filter_reference
@@ -126,6 +128,37 @@ class TestExport:
         ns = "{http://graphml.graphdrawing.org/xmlns}"
         assert len(root.findall(f"{ns}graph/{ns}node")) == 2
         assert len(root.findall(f"{ns}graph/{ns}edge")) == 1
+
+    @given(st.one_of(st.text(alphabet="ab&<>\"'\n\r\t#\u00e9"), st.text()))
+    @settings(max_examples=500, deadline=None)
+    def test_xml_escaping_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape, quoteattr
+
+        assert _xml_escape(text) == escape(text)
+        assert _xml_quoteattr(text) == quoteattr(text)
+
+    def test_graphml_round_trips_special_characters(self):
+        """Labels and package names holding every character that XML
+        escapes, each quote alone and both together, read back unchanged."""
+        import xml.etree.ElementTree as ET
+
+        specials = "&<>\"'\n\r\t"
+        labels = sorted([f"a{c}b" for c in specials] + [specials, "x'y", 'x"y'])
+        communities = tuple(
+            Community(label, 2, {f"p{label}": 1, "q&<>": 1}, 1)
+            for label in labels)
+        edges = tuple(CommunityEdge(a, b, i + 1)
+                      for i, (a, b) in enumerate(zip(labels, labels[1:])))
+        text = export(CommunityGraph(communities, edges), "graphml")
+        ns = "{http://graphml.graphdrawing.org/xmlns}"
+        graph = ET.fromstring(text).find(f"{ns}graph")
+        nodes = graph.findall(f"{ns}node")
+        assert [node.get("id") for node in nodes] == labels
+        assert [json.loads(node.find(f"{ns}data[@key='packages']").text)
+                for node in nodes] == [c.packages for c in communities]
+        assert [(edge.get("source"), edge.get("target"))
+                for edge in graph.findall(f"{ns}edge")] == \
+            [(e.a, e.b) for e in edges]
 
     def test_json_round_trip(self, triangle_cgraph):
         doc = json.loads(export(triangle_cgraph, "json"))

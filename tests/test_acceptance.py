@@ -12,13 +12,11 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from depnet import (build_graph, connected_components, detect_eb, detect_lp,
                     detect_mo, fit_power_law, induced_subgraph,
                     load_edge_list, modularity, nmi, package_partition,
                     refine_packages, run_batch, split_disconnected)
-from depnet.cli import cli
 
 from conftest import CORPUS_DIR, GOLDEN_EDGES, graph_from_pairs
 from oracles import (best_q_exhaustive, blocks_of, modularity_ordered_pairs,
@@ -189,15 +187,14 @@ def test_criterion_9_package_split_connectedness():
     report(9, "all P+ blocks connected; idempotent")
 
 
-def test_criterion_10_end_to_end_determinism(tmp_path):
-    runner = CliRunner()
+def test_criterion_10_end_to_end_determinism(tmp_path, run_cli):
     outputs = []
     for name in ("first.json", "second.json"):
         out = tmp_path / name
-        result = runner.invoke(
-            cli, ["report", str(CORPUS_DIR), "--runs", "10", "--eb-runs", "2",
-                  "--seed", "42", "--out", str(out)])
-        assert result.exit_code == 0, result.output
+        code, _, stderr = run_cli(
+            ["report", str(CORPUS_DIR), "--runs", "10", "--eb-runs", "2",
+             "--seed", "42", "--out", str(out)])
+        assert code == 0, stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     report(10, f"{len(outputs[0])} byte report, identical twice")

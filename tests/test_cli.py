@@ -4,9 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from depnet.cli import cli, main
+from depnet.cli import main
 
 from conftest import CORPUS_DIR, GOLDEN_EDGES
 
@@ -26,11 +25,6 @@ PARTITION_TEXT = "".join(f"{fqn}\t{fqn[:2]}\n" for fqn in (
 
 
 @pytest.fixture
-def runner():
-    return CliRunner()
-
-
-@pytest.fixture
 def network(tmp_path):
     path = tmp_path / "net.tsv"
     path.write_text(NETWORK_TEXT)
@@ -38,12 +32,12 @@ def network(tmp_path):
 
 
 class TestExtract:
-    def test_golden_corpus_byte_for_byte(self, runner, tmp_path):
+    def test_golden_corpus_byte_for_byte(self, run_cli, tmp_path):
         out = tmp_path / "edges.tsv"
-        result = runner.invoke(cli, ["extract", str(CORPUS_DIR), "--out", str(out)])
-        assert result.exit_code == 0, result.output
+        code, stdout, stderr = run_cli(["extract", str(CORPUS_DIR), "--out", str(out)])
+        assert code == 0, stderr
         assert out.read_text() == GOLDEN_EDGES.read_text()
-        assert "nodes=22 edges=43 packages=6" in result.output
+        assert "nodes=22 edges=43 packages=6" in stdout
 
     def test_empty_dir_errors(self, tmp_path, capsys):
         out = tmp_path / "edges.tsv"
@@ -52,14 +46,14 @@ class TestExtract:
         assert code == 2
         assert "no input classes" in capsys.readouterr().err
 
-    def test_dependency_free_corpus_warns(self, runner, tmp_path):
+    def test_dependency_free_corpus_warns(self, run_cli, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
         (src / "A.chd").write_text("package p; class A { int x; }")
         (src / "B.chd").write_text("package p; class B { long y; }")
         out = tmp_path / "edges.tsv"
-        result = runner.invoke(cli, ["extract", str(src), "--out", str(out)])
-        assert result.exit_code == 0
+        code, stdout, stderr = run_cli(["extract", str(src), "--out", str(out)])
+        assert code == 0
         assert out.read_text() == "#depnet-edges v1 isolated=drop\n"
 
 
@@ -76,7 +70,7 @@ class TestExtract:
          "List\tp.A\tfield\nMap\tp.A\tfield\np.A\tp.E\tfield\n"),
     ], ids=["method-type-variable", "enclosing-type-variable",
             "primitive-type-arguments"])
-    def test_type_variables_and_primitives(self, runner, tmp_path, files,
+    def test_type_variables_and_primitives(self, run_cli, tmp_path, files,
                                            args, expected):
         """Type variables are scoped as in Java and primitive type
         arguments are no classes, so neither becomes a node."""
@@ -85,53 +79,53 @@ class TestExtract:
         for name, text in files.items():
             (src / name).write_text(text)
         out = tmp_path / "edges.tsv"
-        result = runner.invoke(cli, ["extract", str(src), "--out", str(out),
-                                     *args])
-        assert result.exit_code == 0, result.output
+        code, stdout, stderr = run_cli(["extract", str(src), "--out",
+                                        str(out), *args])
+        assert code == 0, stderr
         assert out.read_text() == "#depnet-edges v1 isolated=drop\n" + expected
 
 
 class TestDetect:
-    def test_mo_on_fixture(self, runner, network, tmp_path):
+    def test_mo_on_fixture(self, run_cli, network, tmp_path):
         out = tmp_path / "part.tsv"
-        result = runner.invoke(
-            cli, ["detect", network, "--algo", "mo", "--runs", "3",
-                  "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        stats = json.loads(result.output)
+        code, stdout, stderr = run_cli(
+            ["detect", network, "--algo", "mo", "--runs", "3",
+             "--out", str(out)])
+        assert code == 0, stderr
+        stats = json.loads(stdout)
         assert stats["mean_q"] == pytest.approx(5 / 14)
         labels = dict(line.split("\t") for line in
                       out.read_text().splitlines())
         assert len(set(labels.values())) == 2
 
-    def test_lp_deterministic_output(self, runner, network, tmp_path):
+    def test_lp_deterministic_output(self, run_cli, network, tmp_path):
         outputs = []
         for name in ("a.tsv", "b.tsv"):
             out = tmp_path / name
-            result = runner.invoke(
-                cli, ["detect", network, "--algo", "lp", "--runs", "1",
-                      "--seed", "7", "--out", str(out)])
-            assert result.exit_code == 0
+            code, stdout, stderr = run_cli(
+                ["detect", network, "--algo", "lp", "--runs", "1",
+                 "--seed", "7", "--out", str(out)])
+            assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
 
 class TestMetrics:
-    def test_self_nmi_is_one(self, runner, network, tmp_path):
-        result = runner.invoke(cli, ["metrics", network])
-        assert result.exit_code == 0, result.output
-        doc = json.loads(result.output)
+    def test_self_nmi_is_one(self, run_cli, network, tmp_path):
+        code, stdout, stderr = run_cli(["metrics", network])
+        assert code == 0, stderr
+        doc = json.loads(stdout)
         assert doc["q"]["P"] == pytest.approx(5 / 14)
         assert doc["nmi"]["P|P+"] == pytest.approx(1.0)
 
-    def test_disconnected_package_reported(self, runner, tmp_path):
+    def test_disconnected_package_reported(self, run_cli, tmp_path):
         path = tmp_path / "net.tsv"
         path.write_text(
             "#depnet-edges v1 isolated=drop\n"
             "pa.A\tpa.B\tfield\n"
             "pa.C\tpa.D\tfield\n")
-        result = runner.invoke(cli, ["metrics", str(path)])
-        doc = json.loads(result.output)
+        code, stdout, stderr = run_cli(["metrics", str(path)])
+        doc = json.loads(stdout)
         assert doc["disconnected_packages"] == ["pa"]
 
     def test_node_mismatch_rejected(self, network, tmp_path, capsys):
@@ -156,79 +150,79 @@ class TestMetrics:
         assert main(["metrics", network, str(path)]) == 2
         assert f"{name!r} is already taken" in capsys.readouterr().err
 
-    def test_distinct_names_all_reported(self, runner, network, tmp_path):
+    def test_distinct_names_all_reported(self, run_cli, network, tmp_path):
         paths = [tmp_path / "one.tsv", tmp_path / "two.tsv"]
         for path in paths:
             path.write_text(PARTITION_TEXT)
-        result = runner.invoke(cli, ["metrics", network, *map(str, paths)])
-        assert result.exit_code == 0, result.output
-        doc = json.loads(result.output)
+        code, stdout, stderr = run_cli(["metrics", network, *map(str, paths)])
+        assert code == 0, stderr
+        doc = json.loads(stdout)
         assert sorted(doc["q"]) == ["P", "P+", "one.tsv", "two.tsv"]
         assert doc["nmi"]["one.tsv|two.tsv"] == pytest.approx(1.0)
 
 
 class TestRefine:
-    def test_fixture_refinement(self, runner, network, tmp_path):
+    def test_fixture_refinement(self, run_cli, network, tmp_path):
         out = tmp_path / "refined.tsv"
-        result = runner.invoke(
-            cli, ["refine", network, "--seed", "1", "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        doc = json.loads(result.output)
+        code, stdout, stderr = run_cli(
+            ["refine", network, "--seed", "1", "--out", str(out)])
+        assert code == 0, stderr
+        doc = json.loads(stdout)
         assert doc["q_refined"] == pytest.approx(5 / 14)
         assert set(doc["labels"]) <= {"pa", "pb"}
 
 
 class TestAbstract:
-    def make_partition(self, runner, network, tmp_path):
+    def make_partition(self, run_cli, network, tmp_path):
         out = tmp_path / "part.tsv"
-        runner.invoke(cli, ["detect", network, "--algo", "mo", "--runs", "1",
-                            "--out", str(out)])
+        run_cli(["detect", network, "--algo", "mo", "--runs", "1",
+                 "--out", str(out)])
         return str(out)
 
-    def test_dot_output(self, runner, network, tmp_path):
-        part = self.make_partition(runner, network, tmp_path)
-        result = runner.invoke(
-            cli, ["abstract", network, part, "--format", "dot"])
-        assert result.exit_code == 0, result.output
-        assert result.output.startswith("graph communities {")
+    def test_dot_output(self, run_cli, network, tmp_path):
+        part = self.make_partition(run_cli, network, tmp_path)
+        code, stdout, stderr = run_cli(
+            ["abstract", network, part, "--format", "dot"])
+        assert code == 0, stderr
+        assert stdout.startswith("graph communities {")
 
-    def test_components_limit(self, runner, network, tmp_path):
-        part = self.make_partition(runner, network, tmp_path)
-        result = runner.invoke(
-            cli, ["abstract", network, part, "--format", "json",
-                  "--components", "1"])
-        doc = json.loads(result.output)
+    def test_components_limit(self, run_cli, network, tmp_path):
+        part = self.make_partition(run_cli, network, tmp_path)
+        code, stdout, stderr = run_cli(
+            ["abstract", network, part, "--format", "json",
+             "--components", "1"])
+        doc = json.loads(stdout)
         assert len(doc["communities"]) >= 1
 
-    def test_json_round_trips(self, runner, network, tmp_path):
-        part = self.make_partition(runner, network, tmp_path)
-        result = runner.invoke(
-            cli, ["abstract", network, part, "--format", "json"])
-        doc = json.loads(result.output)
+    def test_json_round_trips(self, run_cli, network, tmp_path):
+        part = self.make_partition(run_cli, network, tmp_path)
+        code, stdout, stderr = run_cli(
+            ["abstract", network, part, "--format", "json"])
+        doc = json.loads(stdout)
         assert sum(c["size"] for c in doc["communities"]) == 6
 
 
 class TestReport:
-    def test_report_runs_and_validates(self, runner, network):
+    def test_report_runs_and_validates(self, run_cli, network):
         jsonschema = pytest.importorskip("jsonschema")
         from depnet.report import REPORT_SCHEMA
 
-        result = runner.invoke(
-            cli, ["report", network, "--runs", "5", "--eb-runs", "2"])
-        assert result.exit_code == 0, result.output
-        doc = json.loads(result.output)
+        code, stdout, stderr = run_cli(
+            ["report", network, "--runs", "5", "--eb-runs", "2"])
+        assert code == 0, stderr
+        doc = json.loads(stdout)
         jsonschema.validate(doc, REPORT_SCHEMA)
         assert doc["network"]["nodes"] == 6
         assert set(doc["algorithms"]) == {"eb", "mo", "lp"}
 
-    def test_byte_identical_on_repeat(self, runner, tmp_path):
+    def test_byte_identical_on_repeat(self, run_cli, tmp_path):
         outputs = []
         for name in ("r1.json", "r2.json"):
             out = tmp_path / name
-            result = runner.invoke(
-                cli, ["report", str(CORPUS_DIR), "--runs", "5",
-                      "--eb-runs", "2", "--seed", "42", "--out", str(out)])
-            assert result.exit_code == 0, result.output
+            code, stdout, stderr = run_cli(
+                ["report", str(CORPUS_DIR), "--runs", "5",
+                 "--eb-runs", "2", "--seed", "42", "--out", str(out)])
+            assert code == 0, stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -236,6 +230,38 @@ class TestReport:
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["detect"]) == 1
+
+    @pytest.mark.parametrize("args, seed", [
+        ([], None),
+        (["bogus"], None),
+        (["detect", "{net}"], None),
+        (["detect", "{net}", "--algo", "zz"], None),
+        (["detect", "{net}", "--algo", "lp", "--runs", "abc"], None),
+        (["detect", "{net}", "--alg", "lp"], None),
+        (["extract", "--out", "{out}"], None),
+        (["detect", "{net}", "--algo", "lp", "--runs", "1"], "abc"),
+    ], ids=["no-arguments", "unknown-command", "missing-algo", "bad-algo",
+            "bad-runs", "abbreviated-option", "extract-no-inputs",
+            "bad-env-seed"])
+    def test_usage_error_contract(self, run_cli, network, tmp_path,
+                                  monkeypatch, args, seed):
+        """Every usage error exits 1 with an `error:` message on stderr and
+        nothing on stdout; the wording is not part of the contract."""
+        if seed is not None:
+            monkeypatch.setenv("DEPNET_SEED", seed)
+        out = tmp_path / "out.tsv"
+        code, stdout, stderr = run_cli(
+            [a.format(net=network, out=out) for a in args])
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error:")
+        assert "Traceback" not in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--help"], ["report", "--help"]])
+    def test_help_is_zero(self, run_cli, args):
+        code, stdout, stderr = run_cli(args)
+        assert (code, stderr) == (0, "")
+        assert stdout.lower().startswith("usage:")
 
     def test_data_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -364,21 +390,22 @@ class TestExitCodes:
     def test_success_is_zero(self, network):
         assert main(["metrics", network]) == 0
 
-    def test_env_seed_override(self, runner, network, monkeypatch, tmp_path):
+    def test_env_seed_override(self, run_cli, network, monkeypatch, tmp_path):
         monkeypatch.setenv("DEPNET_SEED", "123")
         out_env = tmp_path / "env.tsv"
-        runner.invoke(cli, ["detect", network, "--algo", "lp", "--runs", "1",
-                            "--out", str(out_env)])
+        run_cli(["detect", network, "--algo", "lp", "--runs", "1",
+                 "--out", str(out_env)])
         out_flag = tmp_path / "flag.tsv"
-        runner.invoke(cli, ["detect", network, "--algo", "lp", "--runs", "1",
-                            "--seed", "123", "--out", str(out_flag)])
+        run_cli(["detect", network, "--algo", "lp", "--runs", "1",
+                 "--seed", "123", "--out", str(out_flag)])
         assert out_env.read_bytes() == out_flag.read_bytes()
 
 
 def test_cli_import_skips_xml_and_network_modules(tmp_path):
-    """Start-up stays lean: xml.sax.saxutils (GraphML export only) pulls in
-    urllib.request, http.client and ssl; hashlib (report digest only) loads
-    OpenSSL; multiprocessing is needed only when seeded runs fork workers.
+    """Start-up stays lean: it loads no third-party module and no json;
+    hashlib (report digest only) loads OpenSSL; multiprocessing is needed
+    only when seeded runs fork workers. GraphML export escapes without
+    xml.sax.saxutils, which pulls in urllib.request and http.client.
     Of depnet itself, start-up loads only the CLI, and each command only the
     layers it runs: extraction no detector, metric, report or abstraction,
     and a report on an edge file no header parser or abstraction."""
@@ -394,7 +421,7 @@ def test_cli_import_skips_xml_and_network_modules(tmp_path):
 
     startup = loaded("import depnet.cli")
     assert startup & {"xml.sax.saxutils", "http.client", "hashlib",
-                      "multiprocessing"} == set()
+                      "multiprocessing", "click", "json"} == set()
     assert {m for m in startup if m.startswith("depnet")} == {
         "depnet", "depnet.cli", "depnet.errors"}
 
@@ -408,6 +435,29 @@ def test_cli_import_skips_xml_and_network_modules(tmp_path):
         ["report", "edges.tsv", "--runs", "1", "--out", "report.json"]))
     assert "depnet.report" in report
     assert report & {"depnet.headers", "depnet.abstract"} == set()
+    graphml = loaded(run.format(
+        ["detect", "edges.tsv", "--algo", "lp", "--runs", "1",
+         "--out", "part.tsv"]) + "; " + run.format(
+        ["abstract", "edges.tsv", "part.tsv", "--format", "graphml",
+         "--out", "communities.graphml"]))
+    assert "depnet.abstract" in graphml
+    assert graphml & {"xml.sax", "xml.sax.saxutils", "urllib.request",
+                      "http.client"} == set()
+
+
+def test_cli_runs_on_the_standard_library_alone(tmp_path):
+    """`python -S` leaves site-packages off the path, so any third-party
+    import fails: extract and report must run without one."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for args in (["extract", str(CORPUS_DIR), "--out", "edges.tsv"],
+                 ["report", "edges.tsv", "--runs", "2", "--out", "r.json"]):
+        result = subprocess.run(
+            [sys.executable, "-S", "-m", "depnet.cli", *args], cwd=tmp_path,
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+    assert (tmp_path / "edges.tsv").read_text() == GOLDEN_EDGES.read_text()
+    assert json.loads((tmp_path / "r.json").read_text())["network"] == {
+        "nodes": 22, "edges": 43, "packages": 6}
 
 
 def test_output_independent_of_hash_seed(tmp_path):
