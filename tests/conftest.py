@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
 
 from depnet import DependencyKind, build_graph
+from depnet.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_DIR = DATA_DIR / "corpus"
@@ -74,10 +75,9 @@ def triangle_partition():
 def run_cli(capsys):
     """Runs `depnet.cli.main` on an argument list in this process and
     returns its exit code, stdout and stderr."""
-    from depnet.cli import main
 
     def run(args):
-        code = main(list(args))
+        code = main(args)
         out, err = capsys.readouterr()
         return code, out, err
 

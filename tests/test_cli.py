@@ -201,6 +201,20 @@ class TestAbstract:
         doc = json.loads(stdout)
         assert sum(c["size"] for c in doc["communities"]) == 6
 
+    def test_stdout_equals_out_file(self, run_cli, tmp_path):
+        """Names are written as they are, escape sequences included: click
+        used to strip ANSI codes from a stdout that was no terminal."""
+        network = tmp_path / "net.tsv"
+        network.write_text(NETWORK_TEXT.replace("pa.", "p\x1b[31m."))
+        part = tmp_path / "part.tsv"
+        part.write_text(PARTITION_TEXT.replace("pa.", "p\x1b[31m."))
+        args = ["abstract", str(network), str(part), "--format", "dot"]
+        code, stdout, _ = run_cli(args)
+        assert code == 0
+        assert run_cli(args + ["--out", str(tmp_path / "out.dot")])[0] == 0
+        assert stdout == (tmp_path / "out.dot").read_text()
+        assert "\x1b[31m" in stdout
+
 
 class TestReport:
     def test_report_runs_and_validates(self, run_cli, network):
