@@ -19,13 +19,11 @@ EXPORT_FORMATS = ("dot", "graphml", "json")
 _HOMES = {
     "abstract": ("CommunityGraph", "community_network", "export",
                  "largest_components_filter"),
-    "detect": ("Dendrogram", "detect_eb", "detect_lp", "detect_mo",
-               "edge_betweenness", "refine_packages"),
+    "detect": ("detect_eb", "detect_lp", "detect_mo", "refine_packages"),
     "errors": ("DepnetError", "FormatError", "GraphError", "ParseError",
                "ResolveError", "SizeCapError"),
     "graph": ("ClassGraph", "DependencyKind", "build_graph",
-              "collapse_to_weighted", "connected_components",
-              "induced_subgraph", "remove_isolated"),
+              "collapse_to_weighted", "induced_subgraph", "remove_isolated"),
     "headers": ("ClassDecl", "TypeRef", "parse_class_headers"),
     "ingest": ("ResolveOptions", "load_edge_list", "load_partition",
                "package_partition", "parse_corpus", "resolve_dependencies",

@@ -7,14 +7,13 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormatError, GraphError
 from .graph import ClassGraph, Partition, check_cover, component_labels
 
 
-@dataclass(frozen=True)
-class Community:
+class Community(NamedTuple):
     label: str
     size: int
     packages: dict[str, int]
@@ -26,20 +25,15 @@ class Community:
         return min(self.packages, key=lambda p: (-self.packages[p], p))
 
 
-@dataclass(frozen=True)
-class CommunityEdge:
+class CommunityEdge(NamedTuple):
     a: str
     b: str
     weight: int
 
 
-@dataclass(frozen=True)
-class CommunityGraph:
+class CommunityGraph(NamedTuple):
     communities: tuple[Community, ...]  # sorted by label
     edges: tuple[CommunityEdge, ...]    # sorted by (a, b), a < b
-
-    def labels(self) -> list[str]:
-        return [c.label for c in self.communities]
 
 
 def community_network(
@@ -189,18 +183,8 @@ def _export_graphml(cgraph: CommunityGraph) -> str:
 def _export_json(cgraph: CommunityGraph) -> str:
     doc = {
         "version": 1,
-        "communities": [
-            {
-                "label": c.label,
-                "size": c.size,
-                "packages": c.packages,
-                "self_weight": c.self_weight,
-            }
-            for c in cgraph.communities
-        ],
-        "edges": [
-            {"a": e.a, "b": e.b, "weight": e.weight} for e in cgraph.edges
-        ],
+        "communities": [c._asdict() for c in cgraph.communities],
+        "edges": [e._asdict() for e in cgraph.edges],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import heapq
 import random
 import warnings
-from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from .errors import GraphError, SizeCapError
 from .graph import (ClassGraph, Partition, check_cover, collapse_to_weighted,
@@ -23,14 +22,12 @@ EB_DEFAULT_EDGE_CAP = 5000
 LP_SWEEP_CAP = 1000  # label-propagation sweeps before giving up on a fixpoint
 
 
-@dataclass(frozen=True)
-class DendrogramLevel:
+class DendrogramLevel(NamedTuple):
     n_communities: int
     q: float
 
 
-@dataclass
-class Dendrogram:
+class Dendrogram(NamedTuple):
     """Merge/split sweep with the modularity recorded at every level."""
 
     levels: list[DendrogramLevel]
@@ -106,13 +103,6 @@ def _edge_betweenness(
                 delta[u] += contribution
     # Each unordered pair was counted from both endpoints.
     return {key: score / 2.0 for key, score in zip(keys, scores)}
-
-
-def edge_betweenness(graph: ClassGraph) -> dict[tuple[int, int], float]:
-    """Edge betweenness of the graph with parallel edges merged;
-    multiplicities are not used as distances."""
-    adj = {u: set(graph.neighbors(u)) for u in range(graph.n_nodes)}
-    return _edge_betweenness(adj, range(graph.n_nodes))
 
 
 def detect_eb(

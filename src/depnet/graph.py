@@ -124,9 +124,6 @@ class ClassGraph:
         of parallel edges collapsed into one weighted edge. Read-only."""
         return self._adj[node]
 
-    def multiplicity(self, u: int, v: int) -> int:
-        return self._adj[u].get(v, 0)
-
     def __repr__(self) -> str:
         return f"ClassGraph({self.n_nodes} nodes, {self.m} edges)"
 
@@ -185,13 +182,6 @@ def component_labels(
                     queue.append(v)
         comp += 1
     return labels
-
-
-def connected_components(graph: ClassGraph) -> Partition:
-    """Label every node with the index of its connected component."""
-    nodes = range(graph.n_nodes)
-    comp = component_labels(graph._adj, nodes)
-    return tuple(comp[u] for u in nodes)
 
 
 def induced_subgraph(graph: ClassGraph, node_set: Iterable[int]) -> ClassGraph:

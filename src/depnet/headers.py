@@ -9,7 +9,7 @@ are skipped; method bodies and field initializers are ignored when present.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -57,8 +57,7 @@ def _is_identifier(text: str) -> bool:
     return text[:1].isalpha() or text[:1] in ("_", "$")
 
 
-@dataclass
-class TypeRef:
+class TypeRef(NamedTuple):
     """A source type reference: possibly qualified base name plus type arguments.
 
     Array dimensions decay to the element type at parse time. References to
@@ -67,7 +66,7 @@ class TypeRef:
     """
 
     name: str
-    args: list["TypeRef"] = field(default_factory=list)
+    args: list[TypeRef]
 
     def flatten(self, include_args: bool) -> list[str]:
         """Base names referenced by this type; wildcards contribute only bounds."""
@@ -78,23 +77,22 @@ class TypeRef:
         return names
 
 
-@dataclass
-class ClassDecl:
+class ClassDecl(NamedTuple):
     """Parsed header of one class or interface (nested types get their own)."""
 
     fqn: str
     package: str
-    supertypes: list[TypeRef] = field(default_factory=list)
-    field_types: list[TypeRef] = field(default_factory=list)
-    param_types: list[TypeRef] = field(default_factory=list)
-    ctor_param_types: list[TypeRef] = field(default_factory=list)
-    return_types: list[TypeRef] = field(default_factory=list)
-    imports: list[str] = field(default_factory=list)
+    supertypes: list[TypeRef]
+    field_types: list[TypeRef]
+    param_types: list[TypeRef]
+    ctor_param_types: list[TypeRef]
+    return_types: list[TypeRef]
+    imports: list[str]
     # Type variables in scope in the class body: the class's own and those of
     # its enclosing classes. A generic method's own are in scope only in its
     # signature and are not listed here.
-    type_params: set[str] = field(default_factory=set)
-    line: int = 0
+    type_params: set[str]
+    line: int
 
     @property
     def simple_name(self) -> str:
@@ -274,14 +272,14 @@ class _Parser:
             fqn = f"{self.package}.{name}" if self.package else name
         else:
             fqn = f"{outer.fqn}.{name}"
-        decl = ClassDecl(fqn=fqn, package=self.package,
-                         imports=list(self.imports),
-                         line=position(self.source, offset)[0])
-        if self.at("<"):
-            decl.type_params = self.type_param_names()
+        line = position(self.source, offset)[0]
+        type_params = self.type_param_names() if self.at("<") else set()
         if outer is not None:
-            decl.type_params |= outer.type_params
-        self.type_vars = decl.type_params
+            type_params |= outer.type_params
+        # Fresh lists for the five reference buckets, filled below.
+        decl = ClassDecl(fqn, self.package, [], [], [], [], [],
+                         list(self.imports), type_params, line)
+        self.type_vars = type_params
         if self.at("extends"):
             self.next()
             decl.supertypes.extend(self.supertypes())
@@ -334,45 +332,44 @@ class _Parser:
             self.next()
 
     def type_ref(self) -> TypeRef:
+        args: list[TypeRef] = []
         if self.at("?"):
             self.next()
-            ref = TypeRef("?")
             if self.at("extends") or self.at("super"):
                 self.enter()
                 self.next()
-                self.store(ref.args, self.type_ref())
+                self.store(args, self.type_ref())
                 self.depth -= 1
-            return ref
-        text = self.peek()
-        if not _is_identifier(text):
-            raise self.error(f"expected type, found {text!r}")
-        if text == "void":
+            return TypeRef("?", args)
+        name = self.peek()
+        if not _is_identifier(name):
+            raise self.error(f"expected type, found {name!r}")
+        if name == "void":
             self.next()
-            return TypeRef("void")
-        if text in PRIMITIVES:
+            return TypeRef(name, args)
+        if name in PRIMITIVES:
             self.next()
-            ref = TypeRef(text)
         else:
-            if text in self.type_vars and self.tokens[self.pos + 1][0] == ".":
+            if name in self.type_vars and self.tokens[self.pos + 1][0] == ".":
                 raise self.error(
-                    f"member type selected from type variable {text!r}")
-            ref = TypeRef(self.qualified_name())
+                    f"member type selected from type variable {name!r}")
+            name = self.qualified_name()
         if self.at("<"):
-            if ref.name in PRIMITIVES or ref.name in self.type_vars:
-                kind = "primitive" if ref.name in PRIMITIVES else "type variable"
-                raise self.error(f"type arguments on {kind} {ref.name!r}")
+            if name in PRIMITIVES or name in self.type_vars:
+                kind = "primitive" if name in PRIMITIVES else "type variable"
+                raise self.error(f"type arguments on {kind} {name!r}")
             self.enter()
             self.next()
-            self.store(ref.args, self.type_ref())
+            self.store(args, self.type_ref())
             while self.at(","):
                 self.next()
-                self.store(ref.args, self.type_ref())
+                self.store(args, self.type_ref())
             self.expect(">")
             self.depth -= 1
         while self.at("["):
             self.next()
             self.expect("]")  # arrays decay to the element type
-        return ref
+        return TypeRef(name, args)
 
     def member(self, decl: ClassDecl) -> None:
         if self.peek() in ("class", "interface"):

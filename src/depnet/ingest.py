@@ -8,9 +8,8 @@ File formats:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import FormatError, GraphError, ResolveError
 from .graph import (ClassGraph, DependencyKind, Partition, build_graph,
@@ -27,8 +26,7 @@ Dependency = tuple[str, str, DependencyKind]
 _KINDS = {kind.value: kind for kind in DependencyKind}
 
 
-@dataclass(frozen=True)
-class ResolveOptions:
+class ResolveOptions(NamedTuple):
     keep_external: bool = False
     include_type_arguments: bool = False
     include_constructors: bool = True

@@ -10,7 +10,7 @@ from collections import Counter
 from typing import Sequence
 
 from . import detect
-from .errors import GraphError, SizeCapError
+from .errors import DepnetError, GraphError, SizeCapError
 from .graph import (ClassGraph, Label, Partition, check_cover,
                     component_labels, modularity_numerator)
 from .ingest import package_partition
@@ -183,8 +183,9 @@ _batch_input: tuple[ClassGraph, Partition] | None = None
 
 def _run_task(task: tuple[str, int]) -> tuple[object, list[tuple]]:
     """One seeded detection of the running batch: its (Q, NMI, partition),
-    or the SizeCapError of a graph past the detector's size cap, with the
-    (message, category, filename, lineno) of each warning it raised."""
+    or the DepnetError it raised (a SizeCapError for a graph past the
+    detector's size cap), with the (message, category, filename, lineno) of
+    each warning it raised."""
     algorithm, seed = task
     graph, reference = _batch_input
     with warnings.catch_warnings(record=True) as caught:
@@ -196,15 +197,14 @@ def _run_task(task: tuple[str, int]) -> tuple[object, list[tuple]]:
                 partition, dendrogram = detect.detect_mo(graph, seed)
             else:
                 partition = detect.detect_lp(graph, seed)
-        except SizeCapError as exc:
-            outcome: object = exc
-        else:
             # MO's best level already holds Q: its exact numerator over
             # 4*m**2, the float `modularity` gives. With no edges Q is
             # undefined, and `modularity` raises that.
             q = dendrogram.best.q if algorithm == "mo" and graph.m \
                 else modularity(graph, partition)
-            outcome = (q, nmi(partition, reference), partition)
+            outcome: object = (q, nmi(partition, reference), partition)
+        except DepnetError as exc:
+            outcome = exc
     return outcome, [(w.message, w.category, w.filename, w.lineno)
                      for w in caught]
 
@@ -251,9 +251,11 @@ def run_batch(
     They execute on min(runs, tasks, usable CPUs) workers forked from this
     process, or in this process when that is 1; results are gathered in
     task order, so the records do not depend on the worker count. Warnings
-    the runs raise are re-emitted here in task order, and the first error a
-    run raises, in task order, propagates. Workers are forked, which is
-    safe only while this process runs no other thread; the CLI runs none.
+    the runs raise are re-emitted here in task order. The first DepnetError
+    a run raised, other than a SizeCapError, is raised here once every run
+    has ended, so that no worker is stopped in mid-run. Workers are forked,
+    which is safe only while this process runs no other thread; the CLI
+    runs none.
     """
     global _batch_input
     if runs < 1:
@@ -283,6 +285,11 @@ def run_batch(
             import multiprocessing
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 gather(pool.imap(_run_task, tasks))
+                # The workers exit on their own before the with statement
+                # terminates the pool, so that none is killed still holding
+                # the result queue's lock, which would hang the pool.
+                pool.close()
+                pool.join()
     finally:
         _batch_input = None
         # Re-emitted as if raised in depnet.detect, where the LP cap warns,
@@ -292,5 +299,10 @@ def run_batch(
         for message, category, filename, lineno in warned:
             warnings.warn_explicit(message, category, filename, lineno,
                                    module=detect.__name__, registry=registry)
+    for results in outcomes.values():
+        for outcome in results:
+            if isinstance(outcome, DepnetError) \
+                    and not isinstance(outcome, SizeCapError):
+                raise outcome
     return {algorithm: _batch_record(algorithm, results)
             for algorithm, results in outcomes.items()}

@@ -11,7 +11,7 @@ import datetime
 import json
 import os
 
-from .errors import GraphError
+from .errors import DepnetError, GraphError
 from .graph import ClassGraph
 from .metrics import modularity, package_analysis, run_batch, size_distribution
 
@@ -93,10 +93,17 @@ REPORT_SCHEMA = {
 
 
 def _timestamp() -> str | None:
+    """The UTC time that SOURCE_DATE_EPOCH gives in seconds, or None when it
+    is unset; DepnetError unless it is an integer in the platform's range."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return None
-    moment = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
+    try:
+        moment = datetime.datetime.fromtimestamp(int(epoch),
+                                                 tz=datetime.timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise DepnetError("SOURCE_DATE_EPOCH must be an integer time in the "
+                          f"platform's range, got {epoch!r}") from None
     return moment.isoformat()
 
 
@@ -112,8 +119,10 @@ def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
     # Imported here: OpenSSL's _hashlib is slow to load and only this uses it.
     import hashlib
 
+    # Both checks come before any detector runs.
     if min(config["runs"], config["eb_runs"]) < 1:
-        raise GraphError("runs must be >= 1")  # before any detector runs
+        raise GraphError("runs must be >= 1")
+    timestamp = _timestamp()
     xmin = config["xmin"]
     packages, packages_plus, disconnected = \
         package_analysis(graph, config["package_depth"])
@@ -145,7 +154,7 @@ def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
         },
         "algorithms": algo_section,
         "size_distributions": distributions,
-        "timestamp": _timestamp(),
+        "timestamp": timestamp,
         "input_sha256": hashlib.sha256(input_bytes).hexdigest(),
     }
 

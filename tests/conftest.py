@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
 
 from depnet import DependencyKind, build_graph
 from depnet.cli import main
+from depnet.graph import component_labels
 
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_DIR = DATA_DIR / "corpus"
@@ -25,6 +26,14 @@ def graph_from_pairs(pairs, n=None):
     nodes = n if n is not None else max(max(p) for p in pairs) + 1
     fqns = [f"n{i}" for i in range(nodes)]
     return build_graph(fqns, [(fqns[u], fqns[v], F) for u, v in pairs])
+
+
+def components(graph):
+    """Label every node with the index of its connected component, by
+    `component_labels` over the graph's neighbour maps."""
+    nodes = range(graph.n_nodes)
+    comp = component_labels([graph.neighbors(u) for u in nodes], nodes)
+    return tuple(comp[u] for u in nodes)
 
 
 def generate_tree(out_dir: Path, seed: int, classes: int) -> Path:

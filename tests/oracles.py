@@ -28,11 +28,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable
 
-from depnet import (ClassGraph, Dendrogram, DependencyKind, GraphError,
-                    ParseError, SizeCapError, build_graph,
-                    collapse_to_weighted)
+from depnet import (ClassGraph, DependencyKind, GraphError, ParseError,
+                    SizeCapError, build_graph, collapse_to_weighted)
 from depnet.abstract import Community, CommunityGraph
-from depnet.detect import EB_DEFAULT_EDGE_CAP, LP_SWEEP_CAP, DendrogramLevel
+from depnet.detect import (EB_DEFAULT_EDGE_CAP, LP_SWEEP_CAP, Dendrogram,
+                           DendrogramLevel)
 from depnet.graph import Label, Partition, relabel_dense
 from depnet.headers import MODIFIERS
 from depnet.metrics import modularity_numerator

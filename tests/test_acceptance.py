@@ -13,12 +13,12 @@ import time
 
 import pytest
 
-from depnet import (build_graph, connected_components, detect_eb, detect_lp,
+from depnet import (build_graph, detect_eb, detect_lp,
                     detect_mo, fit_power_law, induced_subgraph,
                     load_edge_list, modularity, nmi, package_partition,
                     refine_packages, run_batch, split_disconnected)
 
-from conftest import CORPUS_DIR, GOLDEN_EDGES, graph_from_pairs
+from conftest import CORPUS_DIR, GOLDEN_EDGES, components, graph_from_pairs
 from oracles import (best_q_exhaustive, blocks_of, modularity_ordered_pairs,
                      nmi_direct, random_multigraph, random_partition)
 
@@ -182,7 +182,7 @@ def test_criterion_9_package_split_connectedness():
         plus = split_disconnected(g, part)
         for block in blocks_of(plus).values():
             sub = induced_subgraph(g, block)
-            assert len(set(connected_components(sub))) == 1
+            assert len(set(components(sub))) == 1
         assert split_disconnected(g, plus) == plus
     report(9, "all P+ blocks connected; idempotent")
 

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from depnet import EXPORT_FORMATS
 from depnet.cli import main
 
 from conftest import CORPUS_DIR, GOLDEN_EDGES
@@ -401,6 +406,37 @@ class TestExitCodes:
         assert main(["report", network, flag, "0"]) == 2
         assert capsys.readouterr().err == "error: runs must be >= 1\n"
 
+    @pytest.mark.parametrize("epoch", [
+        "abc", "253402300800", str(10 ** 30), "99999999999999999"])
+    def test_bad_source_date_epoch_fails_before_any_detector(
+            self, network, capsys, monkeypatch, epoch):
+        """Not an integer, past year 9999, past a C long and past the
+        platform's time_t: each is one error line naming the variable."""
+        from depnet import detect
+
+        def never(*args, **kwargs):
+            raise AssertionError("a detector ran")
+
+        for name in ("detect_eb", "detect_mo", "detect_lp"):
+            monkeypatch.setattr(detect, name, never)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert main(["report", network, "--runs", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: SOURCE_DATE_EPOCH ")
+        assert repr(epoch) in err
+
+    @pytest.mark.parametrize("epoch, stamp", [
+        (" 5", "1970-01-01T00:00:05+00:00"),
+        ("-1", "1969-12-31T23:59:59+00:00")])
+    def test_source_date_epoch_is_read_by_int(self, run_cli, network,
+                                              monkeypatch, epoch, stamp):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        code, out, _ = run_cli(["report", network, "--runs", "1"])
+        assert code == 0
+        assert json.loads(out)["timestamp"] == stamp
+
     def test_success_is_zero(self, network):
         assert main(["metrics", network]) == 0
 
@@ -415,6 +451,78 @@ class TestExitCodes:
         assert out_env.read_bytes() == out_flag.read_bytes()
 
 
+# Malformed-input alphabet: names with odd characters, dots and '#' (a
+# self-loop when both ends are drawn equal), kinds mostly known, headers
+# mostly valid, and soup lines of separators that are not tabs.
+_NAMES = ["p.A", "p.B", "q.C", "D", "p..E", ".F", "p.A.", "#G", "p.A\r",
+          "q.\x00", "p.\x85H", "p.\x0cI", ""]
+_KINDS = ["field", "inheritance", "parameter", "return"] * 6 + ["Field", ""]
+_LABELS = ["0", "1", "p", "", "#", "\x85"]
+_HEADERS = ["#depnet-edges v1 isolated=drop",
+            "#depnet-edges v1 isolated=keep"] * 8 + [
+    "#depnet-edges v1 isolated=", "#depnet-edges v2 isolated=drop",
+    "#depnet-edges v1 isolated=drop\x85", "depnet-edges", ""]
+_SOUP = st.lists(st.sampled_from(["\t", ".", "#", "\r", "\x00", "\x85",
+                                  "\x0c", " ", "p.A", "field"]),
+                 max_size=6).map("".join)
+
+
+@st.composite
+def _input_files(draw):
+    """An edge file and a partition file of the classes it names, each
+    with at most one soup line, and the partition with at most one
+    duplicate or unknown class."""
+    name = st.sampled_from(_NAMES)
+    edges = draw(st.lists(st.tuples(name, name, st.sampled_from(_KINDS)),
+                          max_size=8))
+    lines = [draw(st.sampled_from(_HEADERS)), *map("\t".join, edges),
+             *draw(st.lists(_SOUP, max_size=1))]
+    classes = sorted({fqn for src, dst, _ in edges for fqn in (src, dst)})
+    rows = [f"{fqn}\t{draw(st.sampled_from(_LABELS))}" for fqn in classes]
+    rows += draw(st.lists(st.one_of(
+        _SOUP, st.tuples(name, st.sampled_from(_LABELS)).map("\t".join)),
+        max_size=1))
+    rows = draw(st.permutations(rows))
+    return ("".join(line + "\n" for line in lines),
+            "".join(row + "\n" for row in rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(files=_input_files())
+def test_malformed_input_exits_zero_or_two(tmp_path_factory, files):
+    """Any edge file and partition file through every command that reads
+    them: exit 2 is one `error:` line and no traceback, and exit 0 leaves
+    output that parses."""
+    work = tmp_path_factory.mktemp("fuzz")
+    net, part = work / "net.tsv", work / "part.tsv"
+    for path, text in zip((net, part), files):
+        path.write_text(text, encoding="utf-8", newline="")
+    net, part = str(net), str(part)
+    runs = [(["report", net, "--runs", "2"], json.loads),
+            (["metrics", net, part], json.loads),
+            (["refine", net], json.loads)]
+    runs += [(["detect", net, "--algo", algo, "--runs", "2"], json.loads)
+             for algo in ("eb", "mo", "lp")]
+    def dot(text):
+        assert text.startswith("graph communities {") and text.endswith("}\n")
+
+    parsers = {"dot": dot, "graphml": ElementTree.fromstring,
+               "json": json.loads}
+    runs += [(["abstract", net, part, "--format", fmt], parsers[fmt])
+             for fmt in EXPORT_FORMATS]
+    for args, parse in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), (args, code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            parse(out)
+
+
 def test_cli_import_skips_xml_and_network_modules(tmp_path):
     """Start-up stays lean: it loads no third-party module and no json;
     hashlib (report digest only) loads OpenSSL; multiprocessing is needed
@@ -422,7 +530,8 @@ def test_cli_import_skips_xml_and_network_modules(tmp_path):
     xml.sax.saxutils, which pulls in urllib.request and http.client.
     Of depnet itself, start-up loads only the CLI, and each command only the
     layers it runs: extraction no detector, metric, report or abstraction,
-    and a report on an edge file no header parser or abstraction."""
+    and a report on an edge file no header parser or abstraction. No
+    command loads dataclasses or the inspect module it imports."""
     src = Path(__file__).resolve().parents[1] / "src"
 
     def loaded(code: str) -> set[str]:
@@ -444,11 +553,12 @@ def test_cli_import_skips_xml_and_network_modules(tmp_path):
         ["extract", str(CORPUS_DIR), "--out", "edges.tsv"]))
     assert "depnet.headers" in extract
     assert extract & {"depnet.detect", "depnet.metrics", "depnet.report",
-                      "depnet.abstract"} == set()
+                      "depnet.abstract", "dataclasses", "inspect"} == set()
     report = loaded(run.format(
         ["report", "edges.tsv", "--runs", "1", "--out", "report.json"]))
     assert "depnet.report" in report
-    assert report & {"depnet.headers", "depnet.abstract"} == set()
+    assert report & {"depnet.headers", "depnet.abstract", "dataclasses",
+                     "inspect"} == set()
     graphml = loaded(run.format(
         ["detect", "edges.tsv", "--algo", "lp", "--runs", "1",
          "--out", "part.tsv"]) + "; " + run.format(
@@ -456,7 +566,7 @@ def test_cli_import_skips_xml_and_network_modules(tmp_path):
          "--out", "communities.graphml"]))
     assert "depnet.abstract" in graphml
     assert graphml & {"xml.sax", "xml.sax.saxutils", "urllib.request",
-                      "http.client"} == set()
+                      "http.client", "dataclasses", "inspect"} == set()
 
 
 def test_cli_runs_on_the_standard_library_alone(tmp_path):

@@ -6,9 +6,8 @@ from collections import Counter
 
 import pytest
 
-from depnet import (GraphError, SizeCapError, connected_components,
-                    detect_eb, detect_lp, detect_mo, edge_betweenness,
-                    modularity, refine_packages)
+from depnet import (GraphError, SizeCapError, detect_eb, detect_lp,
+                    detect_mo, modularity, refine_packages)
 from depnet import detect
 from depnet.detect import _edge_betweenness, _lp_sweeps
 from depnet.graph import component_labels, relabel_dense
@@ -16,7 +15,7 @@ from depnet.ingest import load_edge_list
 from depnet.metrics import package_analysis
 
 import oracles
-from conftest import generate_tree, graph_from_pairs
+from conftest import components, generate_tree, graph_from_pairs
 from oracles import (blocks_of, detect_eb_reference, detect_mo_reference,
                      edge_betweenness_reference, lp_sweeps_reference,
                      random_multigraph, random_partition,
@@ -35,6 +34,12 @@ def clique_ring(n_cliques=4, clique_size=8):
         nxt = ((c + 1) % n_cliques) * clique_size
         pairs.append((base + clique_size - 1, nxt))
     return graph_from_pairs(pairs)
+
+
+def edge_betweenness(graph):
+    """Edge betweenness of the whole graph with parallel edges merged."""
+    adj = {u: set(graph.neighbors(u)) for u in range(graph.n_nodes)}
+    return _edge_betweenness(adj, range(graph.n_nodes))
 
 
 class TestEdgeBetweenness:
@@ -115,7 +120,7 @@ class TestMO:
             part, _ = detect_mo(g, seed=rng.randrange(1 << 32))
             for block in blocks_of(part).values():
                 sub = induced_subgraph(g, block)
-                assert len(set(connected_components(sub))) == 1
+                assert len(set(components(sub))) == 1
 
     def test_dendrogram_sweeps_to_single_community(self, two_triangles):
         _, dendro = detect_mo(two_triangles, seed=0)

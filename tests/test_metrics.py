@@ -1,14 +1,16 @@
 import json
+import multiprocessing.pool
 import random
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depnet import (GraphError, build_graph, connected_components, detect_lp,
+from depnet import (GraphError, build_graph, detect_lp,
                     detect_mo, fit_power_law, induced_subgraph, modularity,
                     nmi, report, run_batch, size_distribution,
                     split_disconnected)
@@ -18,7 +20,7 @@ from depnet.graph import DependencyKind, relabel_dense
 from depnet.ingest import load_edge_list, package_partition
 from depnet.metrics import package_analysis
 
-from conftest import generate_tree, graph_from_pairs, use_cpus
+from conftest import components, generate_tree, graph_from_pairs, use_cpus
 from oracles import (blocks_of, modularity_ordered_pairs, nmi_direct, random_multigraph,
                      random_partition, random_sparse_multigraph,
                      split_disconnected_reference)
@@ -140,7 +142,7 @@ class TestSplitDisconnected:
             result = split_disconnected(g, part)
             for block in blocks_of(result).values():
                 sub = induced_subgraph(g, block)
-                assert len(set(connected_components(sub))) == 1
+                assert len(set(components(sub))) == 1
 
     def test_part_names_skip_labels_in_use(self, tmp_path):
         """Package p splits into {p.A, p.B} and {p.C, p.D}, and p#1 is the
@@ -223,7 +225,7 @@ class TestAgainstNetworkx:
             g = random_sparse_multigraph(rng, n, rng.choice([0.3, 0.5, 1.0]))
             expected = {frozenset(c) for c in
                         nx.connected_components(self.simple_graph(nx, g))}
-            assert set(blocks_of(connected_components(g)).values()) == expected
+            assert set(blocks_of(components(g)).values()) == expected
 
 
 class TestSizeDistribution:
@@ -426,6 +428,47 @@ class TestRunBatchWorkers:
             assert type(info.value) is GraphError
             assert str(info.value) == "no labels for seed 2"
             assert methods == pools
+
+    def test_every_run_ends_before_an_error_propagates(
+            self, monkeypatch, two_triangles, tmp_path):
+        """Terminating the pool while a worker sends its result can leave
+        the result queue's lock held, and the pool then hangs; so a failed
+        run lets the others finish first."""
+        real = detect.detect_lp
+
+        def failing(graph, seed):
+            if seed == 0:
+                raise GraphError("no labels for seed 0")
+            time.sleep(0.2)
+            (tmp_path / f"seed{seed}").touch()
+            return real(graph, seed)
+
+        monkeypatch.setattr(detect, "detect_lp", failing)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(GraphError, match="seed 0"):
+            run_batch(two_triangles, ("lp",), 6, 0, (0,) * 6)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"seed{seed}" for seed in range(1, 6)]
+
+    def test_workers_exit_before_the_pool_terminates(self, monkeypatch,
+                                                     two_triangles):
+        """`Pool.terminate` kills the workers still running; one killed
+        while sending a result leaves the result queue's lock held, and
+        the pool hangs. So every worker has exited, with status 0, by then,
+        after a batch that succeeds and after one whose runs fail."""
+        real_terminate = multiprocessing.pool.Pool.terminate
+        exitcodes: list = []
+
+        def terminate(pool):
+            exitcodes.extend(worker.exitcode for worker in pool._pool)
+            real_terminate(pool)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+        use_cpus(monkeypatch, 2)
+        run_batch(two_triangles, ("mo", "lp"), 4, 0, (0,) * 6)
+        with pytest.raises(GraphError, match="no edges"):
+            run_batch(build_graph(["a", "b"], []), ("lp",), 4, 0, (0, 0))
+        assert exitcodes == [0] * 4
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
