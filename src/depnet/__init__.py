@@ -22,8 +22,8 @@ _HOMES = {
     "detect": ("detect_eb", "detect_lp", "detect_mo", "refine_packages"),
     "errors": ("DepnetError", "FormatError", "GraphError", "ParseError",
                "ResolveError", "SizeCapError"),
-    "graph": ("ClassGraph", "DependencyKind", "build_graph",
-              "collapse_to_weighted", "induced_subgraph", "remove_isolated"),
+    "graph": ("ClassGraph", "build_graph", "collapse_to_weighted",
+              "induced_subgraph", "remove_isolated"),
     "headers": ("ClassDecl", "TypeRef", "parse_class_headers"),
     "ingest": ("ResolveOptions", "load_edge_list", "load_partition",
                "package_partition", "parse_corpus", "resolve_dependencies",

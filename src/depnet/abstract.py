@@ -56,12 +56,14 @@ def community_network(
         pkg_dist[label][str(package)] += 1
     self_weight: Counter = Counter()
     cross: Counter = Counter()
-    for u, v, _ in graph.edges:
-        lu, lv = node_label[u], node_label[v]
-        if lu == lv:
-            self_weight[lu] += 1
-        else:
-            cross[tuple(sorted((lu, lv)))] += 1
+    for u, lu in enumerate(node_label):
+        for v, mult in graph.neighbors(u).items():
+            if u < v:
+                lv = node_label[v]
+                if lu == lv:
+                    self_weight[lu] += mult
+                else:
+                    cross[tuple(sorted((lu, lv)))] += mult
     communities = tuple(
         Community(
             label=lbl,

@@ -25,6 +25,7 @@ if TYPE_CHECKING:
     from collections.abc import Sequence
 
     from .graph import ClassGraph, Partition
+    from .ingest import Dependency
 
 DEFAULT_RUNS = 100
 DEFAULT_EB_RUNS = 10
@@ -65,10 +66,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _extract_graph(inputs: Sequence[str], keep_external: bool,
-                   type_args: bool) -> tuple[ClassGraph, list[tuple[str, str]]]:
+def _extract_graph(
+    inputs: Sequence[str], keep_external: bool, type_args: bool,
+) -> tuple[ClassGraph, list[Dependency], list[tuple[str, str]]]:
     """The dependency graph of the .chd sources, without isolated nodes,
-    and the (path, text) sources it was built from."""
+    the dependencies it was built from, and their (path, text) sources."""
     from .graph import build_graph, remove_isolated
     from .ingest import ResolveOptions, parse_corpus
 
@@ -76,19 +78,19 @@ def _extract_graph(inputs: Sequence[str], keep_external: bool,
     opts = ResolveOptions(keep_external=keep_external,
                           include_type_arguments=type_args)
     fqns, deps = parse_corpus(sources, opts)
-    return remove_isolated(build_graph(fqns, deps)), sources
+    return remove_isolated(build_graph(fqns, deps)), deps, sources
 
 
 def cmd_extract(inputs, out, keep_external, type_args, package_depth):
     """Parse .chd header sources into an edge TSV network file."""
     from .ingest import package_partition, write_edge_list
 
-    graph, _ = _extract_graph(inputs, keep_external, type_args)
+    graph, deps, _ = _extract_graph(inputs, keep_external, type_args)
     packages = package_partition(graph, package_depth)
     if graph.n_nodes == 0:
         sys.stderr.write("warning: all nodes isolated; wrote an empty edge file\n")
     with open(out, "w", encoding="utf-8") as stream:
-        write_edge_list(graph, stream)
+        write_edge_list(deps, stream)
     sys.stdout.write(f"nodes={graph.n_nodes} edges={graph.m} "
                      f"packages={len(set(packages))}\n")
 
@@ -198,7 +200,8 @@ def cmd_report(source, runs, eb_runs, seed, xmin, package_depth,
 
     path = Path(source)
     if path.is_dir():
-        graph, sources = _extract_graph((source,), keep_external, type_args)
+        graph, _, sources = _extract_graph((source,), keep_external,
+                                           type_args)
         input_bytes = b"".join(text.encode() for _, text in sources)
     else:
         input_bytes = path.read_bytes()

@@ -1,13 +1,14 @@
-"""Undirected multigraph of class nodes and typed dependency edges.
+"""Undirected multigraph of class nodes, held as weighted neighbour maps.
 
 Nodes carry dense integer ids backed by a stable fully-qualified-name table.
-Parallel edges are preserved; self-loops are dropped at construction.
+Each node maps every neighbour to the multiplicity of the bundle of parallel
+edges between them; self-references are dropped at construction. The kind
+of a dependency is not kept: it matters only in the edge files of `ingest`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from enum import Enum
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import GraphError
@@ -15,13 +16,6 @@ from .errors import GraphError
 Label = Hashable
 # A partition: the label of node i at index i.
 Partition = tuple[Label, ...]
-
-
-class DependencyKind(Enum):
-    INHERITANCE = "inheritance"
-    FIELD = "field"
-    PARAMETER = "parameter"
-    RETURN = "return"
 
 
 def relabel_dense(labels: Iterable[Label]) -> tuple[int, ...]:
@@ -46,52 +40,44 @@ def modularity_numerator(graph: "ClassGraph", partition: Partition) -> int:
     m = graph.m
     intra: Counter = Counter()
     deg_sum: Counter = Counter()
-    for label, k in zip(partition, graph.degree):
+    for u, (label, k) in enumerate(zip(partition, graph.degree)):
         deg_sum[label] += k
-    for u, v, _ in graph.edges:
-        if partition[u] == partition[v]:
-            intra[partition[u]] += 1
+        for v, mult in graph.neighbors(u).items():
+            if u < v and partition[v] == label:
+                intra[label] += mult
     return sum(4 * m * intra[c] - deg_sum[c] ** 2 for c in deg_sum)
 
 
 class ClassGraph:
-    """Immutable undirected multigraph. Edges are (u, v, kind) with u < v."""
+    """Immutable undirected multigraph: the fqn table, and one map per node
+    from each neighbour to the multiplicity of their parallel edges."""
 
-    def __init__(self, fqns: Sequence[str], edges: Iterable[tuple[int, int, DependencyKind]]):
+    def __init__(self, fqns: Sequence[str],
+                 neighbors: Iterable[Mapping[int, int]]):
         self._fqns = tuple(fqns)
         if len(set(self._fqns)) != len(self._fqns):
             raise GraphError("duplicate node fqns")
         self._index = {fqn: i for i, fqn in enumerate(self._fqns)}
-        n = len(self._fqns)
-        norm = []
-        degree = [0] * n
         # Exact dicts, not Counters: EB sums floats in the iteration order of
         # sets built from these maps, and CPython lays out a set built from an
         # exact dict differently from one built from a dict subclass.
-        adj: list[dict[int, int]] = [{} for _ in range(n)]
-        for u, v, kind in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge endpoint out of range: ({u}, {v})")
-            if u == v:
-                raise GraphError(f"self-loop on node {u}")
-            if u > v:
-                u, v = v, u
-            norm.append((u, v, kind))
-            degree[u] += 1
-            degree[v] += 1
-            adj[u][v] = adj[u].get(v, 0) + 1
-            adj[v][u] = adj[v].get(u, 0) + 1
-        self._edges = tuple(norm)
-        self._degree = tuple(degree)
-        self._adj = tuple(adj)
+        adj = tuple(map(dict, neighbors))
+        n = len(self._fqns)
+        if len(adj) != n:
+            raise GraphError(f"{len(adj)} neighbour maps for {n} nodes")
+        for u, nbrs in enumerate(adj):
+            for v, mult in nbrs.items():
+                if not 0 <= v < n or v == u or mult < 1 \
+                        or adj[v].get(u) != mult:
+                    raise GraphError(f"no multigraph has node {u} with "
+                                     f"neighbour {v} of multiplicity {mult}")
+        self._adj = adj
+        self._degree = tuple(sum(nbrs.values()) for nbrs in adj)
+        self._m = sum(self._degree) // 2
 
     @property
     def fqns(self) -> tuple[str, ...]:
         return self._fqns
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, DependencyKind], ...]:
-        return self._edges
 
     @property
     def n_nodes(self) -> int:
@@ -99,7 +85,8 @@ class ClassGraph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        """The edge count, each parallel edge counted."""
+        return self._m
 
     @property
     def n_edges(self) -> int:
@@ -116,9 +103,6 @@ class ClassGraph:
         except KeyError:
             raise GraphError(f"unknown class fqn {fqn!r}") from None
 
-    def fqn_of(self, node: int) -> str:
-        return self._fqns[node]
-
     def neighbors(self, node: int) -> dict[int, int]:
         """Neighbor -> edge multiplicity: the node's edges with each bundle
         of parallel edges collapsed into one weighted edge. Read-only."""
@@ -130,27 +114,29 @@ class ClassGraph:
 
 def build_graph(
     class_fqns: Sequence[str],
-    dependencies: Iterable[tuple[str, str, DependencyKind]],
+    dependencies: Iterable[tuple[str, str, str]],
 ) -> ClassGraph:
-    """Build a multigraph from fqn-keyed dependency tuples.
+    """Build a multigraph from (source fqn, target fqn, kind) dependencies.
 
-    Parallel edges are kept; self-referential dependencies are silently dropped.
-    ClassGraph rejects duplicate fqns.
+    Parallel edges are kept and kinds ignored; self-referential dependencies
+    are silently dropped. Each node's neighbours are in the order of their
+    first dependency with it. ClassGraph rejects duplicate fqns.
     """
     fqns = tuple(class_fqns)
     if not fqns:
         raise GraphError("empty class list")
     index = {fqn: i for i, fqn in enumerate(fqns)}
-    edges = []
-    for src, dst, kind in dependencies:
+    adj: list[dict[int, int]] = [{} for _ in fqns]
+    for src, dst, _ in dependencies:
         u = index.get(src)
         v = index.get(dst)
         if u is None or v is None:
             endpoint = src if u is None else dst
             raise GraphError(f"dependency endpoint {endpoint!r} not in class list")
         if u != v:
-            edges.append((u, v, kind))
-    return ClassGraph(fqns, edges)
+            adj[u][v] = adj[u].get(v, 0) + 1
+            adj[v][u] = adj[v].get(u, 0) + 1
+    return ClassGraph(fqns, adj)
 
 
 def remove_isolated(graph: ClassGraph) -> ClassGraph:
@@ -185,19 +171,17 @@ def component_labels(
 
 
 def induced_subgraph(graph: ClassGraph, node_set: Iterable[int]) -> ClassGraph:
-    """Subgraph on node_set; keeps exactly the edges with both endpoints inside."""
+    """Subgraph on node_set; keeps exactly the edges with both endpoints
+    inside, and each kept node's neighbours in their order."""
     nodes = sorted(set(node_set))
     for node in nodes:
         if not (0 <= node < graph.n_nodes):
             raise GraphError(f"unknown node id {node}")
     remap = {old: new for new, old in enumerate(nodes)}
-    fqns = [graph.fqn_of(i) for i in nodes]
-    edges = [
-        (remap[u], remap[v], k)
-        for u, v, k in graph.edges
-        if u in remap and v in remap
-    ]
-    return ClassGraph(fqns, edges)
+    fqns = [graph.fqns[u] for u in nodes]
+    neighbors = [{remap[v]: mult for v, mult in graph.neighbors(u).items()
+                  if v in remap} for u in nodes]
+    return ClassGraph(fqns, neighbors)
 
 
 def collapse_to_weighted(graph: ClassGraph) -> ClassGraph:

@@ -1,5 +1,8 @@
 """Resolution of parsed headers into dependency tuples, plus interchange I/O.
 
+A dependency is a (source fqn, target fqn, kind) tuple, its kind one of the
+tokens in KINDS. Only this module knows the kinds: a graph keeps none.
+
 File formats:
   * edge TSV: header "#depnet-edges v1 isolated=keep|drop", then
     "source_fqn<TAB>target_fqn<TAB>kind" per edge;
@@ -12,18 +15,17 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import FormatError, GraphError, ResolveError
-from .graph import (ClassGraph, DependencyKind, Partition, build_graph,
-                    remove_isolated)
+from .graph import ClassGraph, Partition, build_graph, remove_isolated
 
 if TYPE_CHECKING:
     from .headers import ClassDecl
 
 EDGE_HEADER_PREFIX = "#depnet-edges v1 isolated="
 
-Dependency = tuple[str, str, DependencyKind]
+# The kinds of dependency, as an edge file names them.
+KINDS = ("inheritance", "field", "parameter", "return")
 
-# An edge file's kind token -> its DependencyKind.
-_KINDS = {kind.value: kind for kind in DependencyKind}
+Dependency = tuple[str, str, str]
 
 
 class ResolveOptions(NamedTuple):
@@ -104,13 +106,9 @@ def resolve_dependencies(
         param_refs = list(decl.param_types)
         if opts.include_constructors:
             param_refs.extend(decl.ctor_param_types)
-        buckets = [
-            (DependencyKind.INHERITANCE, decl.supertypes),
-            (DependencyKind.FIELD, decl.field_types),
-            (DependencyKind.PARAMETER, param_refs),
-            (DependencyKind.RETURN, decl.return_types),
-        ]
-        for kind, refs in buckets:
+        buckets = (decl.supertypes, decl.field_types, param_refs,
+                   decl.return_types)
+        for kind, refs in zip(KINDS, buckets):
             for ref in refs:
                 for name in ref.flatten(opts.include_type_arguments):
                     target = resolve(name, decl, imports)
@@ -157,7 +155,7 @@ def load_edge_list(stream: IO[str]) -> ClassGraph:
     if isolated not in ("keep", "drop"):
         raise FormatError(f"bad isolated flag {isolated!r} in edge-file header")
     fqns: dict[str, None] = {}
-    raw_edges: list[tuple[str, str, DependencyKind]] = []
+    raw_edges: list[Dependency] = []
     for lineno, line in enumerate(stream, start=2):
         line = line.rstrip("\n")
         if not line:
@@ -165,11 +163,10 @@ def load_edge_list(stream: IO[str]) -> ClassGraph:
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"line {lineno}: expected 3 tab-separated fields")
-        src, dst, token = parts
-        kind = _KINDS.get(token)
-        if kind is None:
+        src, dst, kind = parts
+        if kind not in KINDS:
             raise FormatError(
-                f"line {lineno}: unknown dependency kind {token!r}"
+                f"line {lineno}: unknown dependency kind {kind!r}"
             )
         fqns.setdefault(src, None)
         fqns.setdefault(dst, None)
@@ -182,15 +179,16 @@ def load_edge_list(stream: IO[str]) -> ClassGraph:
     return graph
 
 
-def write_edge_list(graph: ClassGraph, stream: IO[str]) -> None:
+def write_edge_list(dependencies: Iterable[Dependency],
+                    stream: IO[str]) -> None:
     """Write the edge TSV format with isolated=drop, the only flag a file of
-    edges can honour; lines sorted for byte-stable output."""
+    edges can honour: a line per dependency, its two fqns in order, and
+    none for a self-reference, which `build_graph` drops too; lines sorted
+    for byte-stable output."""
     stream.write(f"{EDGE_HEADER_PREFIX}drop\n")
-    lines = []
-    for u, v, kind in graph.edges:
-        a, b = sorted((graph.fqn_of(u), graph.fqn_of(v)))
-        lines.append(f"{a}\t{b}\t{kind.value}\n")
-    stream.writelines(sorted(lines))
+    stream.writelines(sorted(
+        f"{min(src, dst)}\t{max(src, dst)}\t{kind}\n"
+        for src, dst, kind in dependencies if src != dst))
 
 
 def package_partition(graph: ClassGraph, depth: int | None = None) -> Partition:

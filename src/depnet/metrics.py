@@ -10,7 +10,7 @@ from collections import Counter
 from typing import Sequence
 
 from . import detect
-from .errors import DepnetError, GraphError, SizeCapError
+from .errors import GraphError, SizeCapError
 from .graph import (ClassGraph, Label, Partition, check_cover,
                     component_labels, modularity_numerator)
 from .ingest import package_partition
@@ -183,7 +183,7 @@ _batch_input: tuple[ClassGraph, Partition] | None = None
 
 def _run_task(task: tuple[str, int]) -> tuple[object, list[tuple]]:
     """One seeded detection of the running batch: its (Q, NMI, partition),
-    or the DepnetError it raised (a SizeCapError for a graph past the
+    or the exception it raised (a SizeCapError for a graph past the
     detector's size cap), with the (message, category, filename, lineno) of
     each warning it raised."""
     algorithm, seed = task
@@ -203,7 +203,7 @@ def _run_task(task: tuple[str, int]) -> tuple[object, list[tuple]]:
             q = dendrogram.best.q if algorithm == "mo" and graph.m \
                 else modularity(graph, partition)
             outcome: object = (q, nmi(partition, reference), partition)
-        except DepnetError as exc:
+        except Exception as exc:
             outcome = exc
     return outcome, [(w.message, w.category, w.filename, w.lineno)
                      for w in caught]
@@ -251,7 +251,7 @@ def run_batch(
     They execute on min(runs, tasks, usable CPUs) workers forked from this
     process, or in this process when that is 1; results are gathered in
     task order, so the records do not depend on the worker count. Warnings
-    the runs raise are re-emitted here in task order. The first DepnetError
+    the runs raise are re-emitted here in task order. The first exception
     a run raised, other than a SizeCapError, is raised here once every run
     has ended, so that no worker is stopped in mid-run. Workers are forked,
     which is safe only while this process runs no other thread; the CLI
@@ -284,7 +284,9 @@ def run_batch(
             # Imported here: start-up pays for it only when workers run.
             import multiprocessing
             with multiprocessing.get_context("fork").Pool(workers) as pool:
-                gather(pool.imap(_run_task, tasks))
+                # One task a chunk: EB's long run shares its worker with
+                # no seeded run.
+                gather(pool.map(_run_task, tasks, chunksize=1))
                 # The workers exit on their own before the with statement
                 # terminates the pool, so that none is killed still holding
                 # the result queue's lock, which would hang the pool.
@@ -301,7 +303,7 @@ def run_batch(
                                    module=detect.__name__, registry=registry)
     for results in outcomes.values():
         for outcome in results:
-            if isinstance(outcome, DepnetError) \
+            if isinstance(outcome, Exception) \
                     and not isinstance(outcome, SizeCapError):
                 raise outcome
     return {algorithm: _batch_record(algorithm, results)

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
 
-from depnet import DependencyKind, build_graph
+from depnet import build_graph
 from depnet.cli import main
 from depnet.graph import component_labels
 
@@ -18,14 +18,12 @@ GOLDEN_EDGES = DATA_DIR / "corpus_golden_edges.tsv"
 PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 _GET_CONTEXT = multiprocessing.get_context
 
-F = DependencyKind.FIELD
-
 
 def graph_from_pairs(pairs, n=None):
     """Build a test multigraph from (u, v) id pairs; nodes named n0..n{k}."""
     nodes = n if n is not None else max(max(p) for p in pairs) + 1
     fqns = [f"n{i}" for i in range(nodes)]
-    return build_graph(fqns, [(fqns[u], fqns[v], F) for u, v in pairs])
+    return build_graph(fqns, [(fqns[u], fqns[v], "field") for u, v in pairs])
 
 
 def components(graph):

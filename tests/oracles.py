@@ -28,13 +28,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable
 
-from depnet import (ClassGraph, DependencyKind, GraphError, ParseError,
-                    SizeCapError, build_graph, collapse_to_weighted)
+from depnet import (ClassGraph, GraphError, ParseError, SizeCapError,
+                    build_graph, collapse_to_weighted)
 from depnet.abstract import Community, CommunityGraph
 from depnet.detect import (EB_DEFAULT_EDGE_CAP, LP_SWEEP_CAP, Dendrogram,
                            DendrogramLevel)
 from depnet.graph import Label, Partition, relabel_dense
 from depnet.headers import MODIFIERS
+from depnet.ingest import KINDS
 from depnet.metrics import modularity_numerator
 
 
@@ -51,9 +52,9 @@ def modularity_ordered_pairs(graph: ClassGraph, partition: Partition) -> float:
     m = graph.m
     n = graph.n_nodes
     adjacency = [[0] * n for _ in range(n)]
-    for u, v, _ in graph.edges:
-        adjacency[u][v] += 1
-        adjacency[v][u] += 1
+    for u in range(n):
+        for v, mult in graph.neighbors(u).items():
+            adjacency[u][v] = mult
     total = 0.0
     for i in range(n):
         for j in range(n):
@@ -114,7 +115,7 @@ def random_multigraph(rng: random.Random, max_nodes: int = 8,
     edges = []
     for _ in range(rng.randint(1, max_edges)):
         u, v = pairs[rng.randrange(len(pairs))]
-        kind = rng.choice(list(DependencyKind))
+        kind = rng.choice(KINDS)
         edges.append((fqns[u], fqns[v], kind))
     return build_graph(fqns, edges)
 
@@ -133,7 +134,7 @@ def random_sparse_multigraph(rng: random.Random, n: int,
     while len(edges) < round(edges_per_node * n):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
-            edges.append((fqns[u], fqns[v], DependencyKind.FIELD))
+            edges.append((fqns[u], fqns[v], "field"))
     return build_graph(fqns, edges)
 
 
@@ -154,9 +155,10 @@ def detect_mo_reference(graph: ClassGraph, seed: int) -> tuple[Partition, Dendro
     deg = {c: graph.degree[c] for c in range(n)}
     members: dict[int, list[int]] = {c: [c] for c in range(n)}
     between: dict[tuple[int, int], int] = {}
-    for u, v, _ in graph.edges:
-        key = (u, v) if u < v else (v, u)
-        between[key] = between.get(key, 0) + 1
+    for u in range(n):
+        for v, mult in graph.neighbors(u).items():
+            if u < v:
+                between[(u, v)] = mult
 
     q_num = -sum(k * k for k in graph.degree)
     best_num = q_num

@@ -163,7 +163,7 @@ def test_criterion_8_parser_golden_corpus():
     fqns, deps = parse_corpus((p.name, p.read_text()) for p in files)
     g = remove_isolated(build_graph(fqns, deps))
     buf = io.StringIO()
-    write_edge_list(g, buf)
+    write_edge_list(deps, buf)
     assert buf.getvalue() == GOLDEN_EDGES.read_text()
     report(8, f"{len(files)} files, {g.m} edges match the golden multiset")
 

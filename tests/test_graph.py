@@ -1,22 +1,23 @@
 import io
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from depnet import (ClassGraph, DependencyKind, GraphError, build_graph,
+from depnet import (ClassGraph, GraphError, build_graph,
                     collapse_to_weighted, detect_eb,
                     detect_lp, detect_mo, induced_subgraph, load_edge_list,
                     load_partition, modularity, package_partition,
                     refine_packages, remove_isolated, run_batch,
                     split_disconnected, write_partition)
 from depnet.graph import relabel_dense
+from depnet.ingest import KINDS
 
 from conftest import components, graph_from_pairs
 from oracles import blocks_of
 
-F = DependencyKind.FIELD
-R = DependencyKind.RETURN
-I = DependencyKind.INHERITANCE
+F, R, I = "field", "return", "inheritance"
 
 
 def test_single_edge():
@@ -155,21 +156,67 @@ def test_collapse_simple_identity(two_triangles):
     assert sum(sum(g.neighbors(u).values()) for u in range(g.n_nodes)) == 2 * g.m
 
 
+def first_seen(pairs, kept):
+    """The neighbours of each node of `kept`, renumbered densely, in the
+    order in which they first appear among the pairs inside `kept`."""
+    new = {old: i for i, old in enumerate(sorted(kept))}
+    order: list[dict] = [{} for _ in new]
+    for u, v in pairs:
+        if u in new and v in new and u != v:
+            order[new[u]].setdefault(new[v])
+            order[new[v]].setdefault(new[u])
+    return [list(neighbours) for neighbours in order]
+
+
 def test_neighbour_maps_are_exact_dicts(two_triangles):
     """EB sums floats in the iteration order of sets built from these maps,
     and CPython lays out a set built from an exact dict differently from one
     built from a dict subclass such as Counter: the output bytes rest on
-    every construction path giving exact dicts."""
-    edges_tsv = "#depnet-edges v1 isolated=drop\nA\tB\tfield\nB\tC\tfield\n"
-    graphs = [
-        ClassGraph(["A", "B", "C"], [(0, 1, F), (1, 0, R)]),
-        two_triangles,
-        remove_isolated(graph_from_pairs([(0, 2), (2, 3)], n=5)),
-        induced_subgraph(two_triangles, {1, 2, 3}),
-        load_edge_list(io.StringIO(edges_tsv)),
+    every construction path giving exact dicts, each node's neighbours in
+    the order in which they first appear in its input."""
+    rng = random.Random(5)
+    # 24 nodes, node 7 in no pair; the pairs hold self-references,
+    # reversed pairs and parallel pairs.
+    nodes = [u for u in range(24) if u != 7]
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(60)]
+    pairs += [(v, u) for u, v in pairs[:12]] + pairs[20:26]
+    rng.shuffle(pairs)
+    assert any(u == v for u, v in pairs)
+    fqns = [f"n{u:02d}" for u in range(24)]
+    deps = [(fqns[u], fqns[v], F) for u, v in pairs]
+    built = build_graph(fqns, deps)
+    trimmed = remove_isolated(built)
+    assert trimmed.n_nodes < built.n_nodes
+    inner = set(range(3, 20))
+    edges_tsv = "#depnet-edges v1 isolated=keep\n" + "".join(
+        f"{src}\t{dst}\t{kind}\n" for src, dst, kind in deps)
+    cases = [
+        (built, first_seen(pairs, range(24))),
+        (trimmed, first_seen(pairs, nodes)),
+        (induced_subgraph(built, inner), first_seen(pairs, inner)),
+        (load_edge_list(io.StringIO(edges_tsv)), first_seen(pairs, nodes)),
+        (ClassGraph(["A", "B"], [Counter({1: 2}), Counter({0: 2})]),
+         [[1], [0]]),
+        (two_triangles, [[1, 2], [0, 2], [0, 1, 3], [2, 4, 5], [3, 5], [3, 4]]),
     ]
-    for g in graphs:
+    for g, order in cases:
         assert all(type(g.neighbors(u)) is dict for u in range(g.n_nodes))
+        assert [list(g.neighbors(u)) for u in range(g.n_nodes)] == order
+
+
+@pytest.mark.parametrize("fqns, neighbors", [
+    (["A", "A"], [{}, {}]),                 # duplicate fqns
+    (["A", "B"], [{}]),                     # a node without a map
+    (["A", "B"], [{2: 1}, {}]),             # neighbour out of range
+    (["A", "B"], [{-1: 1}, {}]),
+    (["A", "B"], [{0: 1}, {}]),             # a node its own neighbour
+    (["A", "B"], [{1: 1}, {}]),             # the maps disagree
+    (["A", "B"], [{1: 2}, {0: 1}]),
+    (["A", "B"], [{1: 0}, {0: 0}]),         # no edge to count
+])
+def test_maps_no_multigraph_has_are_rejected(fqns, neighbors):
+    with pytest.raises(GraphError):
+        ClassGraph(fqns, neighbors)
 
 
 @st.composite
@@ -178,7 +225,7 @@ def dependency_lists(draw):
     fqns = [f"c{i}" for i in range(n)]
     deps = draw(st.lists(
         st.tuples(st.sampled_from(fqns), st.sampled_from(fqns),
-                  st.sampled_from(list(DependencyKind))),
+                  st.sampled_from(KINDS)),
         min_size=1, max_size=12,
     ))
     return fqns, deps
@@ -204,4 +251,5 @@ def test_degree_sum_invariant(case):
     g = build_graph(fqns, deps)
     assert sum(g.degree) == 2 * g.m
     assert sum(sum(g.neighbors(u).values()) for u in range(g.n_nodes)) == 2 * g.m
-    assert g.n_edges == len({(u, v) for u, v, _ in g.edges})
+    assert g.n_edges == len({frozenset((src, dst))
+                             for src, dst, _ in deps if src != dst})

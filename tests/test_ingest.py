@@ -4,20 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from depnet import (DependencyKind, FormatError, GraphError, ResolveError,
+from depnet import (FormatError, GraphError, ResolveError,
                     ResolveOptions, build_graph, load_edge_list,
                     load_partition, package_partition, parse_class_headers,
                     parse_corpus, remove_isolated, resolve_dependencies,
                     write_edge_list, write_partition)
 from depnet.graph import relabel_dense
-from depnet.ingest import read_text
+from depnet.ingest import KINDS, read_text
 
 from conftest import CORPUS_DIR, GOLDEN_EDGES
 
-F = DependencyKind.FIELD
-I = DependencyKind.INHERITANCE
-P = DependencyKind.PARAMETER
-R = DependencyKind.RETURN
+F, I, P, R = "field", "inheritance", "parameter", "return"
 
 
 def decls_of(*sources):
@@ -155,24 +152,26 @@ class TestResolve:
 class TestEdgeList:
     def test_round_trip_single_edge(self):
         text = "#depnet-edges v1 isolated=drop\np.A\tp.B\tfield\n"
-        g = load_edge_list(io.StringIO(text))
-        assert g.n_nodes == 2
-        assert g.m == 1
         buf = io.StringIO()
-        write_edge_list(g, buf)
+        write_edge_list([("p.B", "p.A", F)], buf)
         assert buf.getvalue() == text
+        g = load_edge_list(io.StringIO(text))
+        assert g.fqns == ("p.A", "p.B")
+        assert g.m == 1
 
     def test_isolated_nodes_written_as_drop_and_round_trip(self):
-        g = build_graph(["p.A", "p.B", "p.C", "p.D"],
-                        [("p.A", "p.C", F), ("p.C", "p.A", F)])
+        fqns = ["p.A", "p.B", "p.C", "p.D"]
+        deps = [("p.A", "p.C", F), ("p.D", "p.D", R), ("p.C", "p.A", P)]
         buf = io.StringIO()
-        write_edge_list(g, buf)
+        write_edge_list(deps, buf)
         text = buf.getvalue()
-        assert text.startswith("#depnet-edges v1 isolated=drop\n")
+        assert text == ("#depnet-edges v1 isolated=drop\n"
+                        "p.A\tp.C\tfield\np.A\tp.C\tparameter\n")
         back = load_edge_list(io.StringIO(text))
-        trimmed = remove_isolated(g)
-        assert (back.fqns, back.edges) == (trimmed.fqns, trimmed.edges)
-        assert back.fqns == ("p.A", "p.C")
+        trimmed = remove_isolated(build_graph(fqns, deps))
+        assert back.fqns == trimmed.fqns == ("p.A", "p.C")
+        assert back.neighbors(0) == trimmed.neighbors(0) == {1: 2}
+        assert back.neighbors(1) == trimmed.neighbors(1) == {0: 2}
 
     def test_keep_header_still_read(self):
         text = "#depnet-edges v1 isolated=keep\np.A\tp.B\tfield\n"
@@ -185,7 +184,8 @@ class TestEdgeList:
 
     def test_bad_kind_names_line(self):
         text = "#depnet-edges v1 isolated=keep\nA\tB\tbogus\n"
-        with pytest.raises(FormatError, match="line 2"):
+        with pytest.raises(FormatError,
+                           match="^line 2: unknown dependency kind 'bogus'$"):
             load_edge_list(io.StringIO(text))
 
     def test_missing_header_rejected(self):
@@ -248,22 +248,24 @@ class TestPartitionFile:
 
 
 class TestGoldenCorpus:
-    def corpus_graph(self):
+    def corpus_dependencies(self):
         sources = [(p.name, p.read_text()) for p in sorted(CORPUS_DIR.glob("*.chd"))]
-        fqns, deps = parse_corpus(sources)
-        return remove_isolated(build_graph(fqns, deps))
+        return parse_corpus(sources)
+
+    def corpus_graph(self):
+        return remove_isolated(build_graph(*self.corpus_dependencies()))
 
     def test_corpus_is_large_enough(self):
         assert len(list(CORPUS_DIR.glob("*.chd"))) >= 20
 
     def test_extraction_matches_golden_file(self):
         buf = io.StringIO()
-        write_edge_list(self.corpus_graph(), buf)
+        write_edge_list(self.corpus_dependencies()[1], buf)
         assert buf.getvalue() == GOLDEN_EDGES.read_text()
 
     def test_all_kinds_present(self):
-        kinds = {k for _, _, k in self.corpus_graph().edges}
-        assert kinds == set(DependencyKind)
+        kinds = {k for _, _, k in self.corpus_dependencies()[1]}
+        assert kinds == set(KINDS)
 
     def test_isolated_class_was_discarded(self):
         assert "shop.util.Strings" not in self.corpus_graph().fqns

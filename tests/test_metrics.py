@@ -1,5 +1,6 @@
 import json
 import multiprocessing.pool
+import pickle
 import random
 import subprocess
 import sys
@@ -10,13 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depnet import (GraphError, build_graph, detect_lp,
+from depnet import (DepnetError, FormatError, GraphError, ParseError,
+                    ResolveError, SizeCapError, build_graph, detect_lp,
                     detect_mo, fit_power_law, induced_subgraph, modularity,
                     nmi, report, run_batch, size_distribution,
                     split_disconnected)
 from depnet import detect
 from depnet.cli import main
-from depnet.graph import DependencyKind, relabel_dense
+from depnet.graph import relabel_dense
 from depnet.ingest import load_edge_list, package_partition
 from depnet.metrics import package_analysis
 
@@ -177,7 +179,7 @@ class TestSplitDisconnected:
 
 class TestPackageAnalysis:
     def test_split_packages_listed(self):
-        F = DependencyKind.FIELD
+        F = "field"
         g = build_graph(["a.A", "a.B", "a.C", "b.D", "b.E"],
                         [("a.A", "a.B", F), ("b.D", "b.E", F), ("a.C", "b.D", F)])
         packages, packages_plus, disconnected = package_analysis(g)
@@ -449,6 +451,41 @@ class TestRunBatchWorkers:
             run_batch(two_triangles, ("lp",), 6, 0, (0,) * 6)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             f"seed{seed}" for seed in range(1, 6)]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_every_run_ends_before_any_exception_propagates(
+            self, monkeypatch, two_triangles, tmp_path, count):
+        """Not only a DepnetError: a defect in a detector lets the other
+        runs finish too, in a worker or in this process."""
+        real = detect.detect_lp
+
+        def failing(graph, seed):
+            if seed == 0:
+                raise KeyError(seed)
+            time.sleep(0.2)
+            (tmp_path / f"seed{seed}").touch()
+            return real(graph, seed)
+
+        monkeypatch.setattr(detect, "detect_lp", failing)
+        use_cpus(monkeypatch, count)
+        with pytest.raises(KeyError):
+            run_batch(two_triangles, ("lp",), 6, 0, (0,) * 6)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"seed{seed}" for seed in range(1, 6)]
+
+    def test_every_error_survives_the_trip_from_a_worker(self):
+        """A run's exception is pickled on its way back from a worker."""
+        def family(cls):
+            return {cls}.union(*map(family, cls.__subclasses__()))
+
+        errors = [cls("m") for cls in (DepnetError, GraphError, ResolveError,
+                                       FormatError, SizeCapError)]
+        errors += [ParseError("m", 1, 2, "f"), ParseError("m", 3, 4)]
+        assert {type(error) for error in errors} == family(DepnetError)
+        for error in errors:
+            back = pickle.loads(pickle.dumps(error))
+            assert type(back) is type(error)
+            assert (str(back), vars(back)) == (str(error), vars(error))
 
     def test_workers_exit_before_the_pool_terminates(self, monkeypatch,
                                                      two_triangles):
