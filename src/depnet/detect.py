@@ -105,17 +105,15 @@ def _edge_betweenness(
     return {key: score / 2.0 for key, score in zip(keys, scores)}
 
 
-def detect_eb(
-    graph: ClassGraph,
-    max_edges: int = EB_DEFAULT_EDGE_CAP,
-) -> tuple[Partition, Dendrogram]:
+def detect_eb(graph: ClassGraph) -> tuple[Partition, Dendrogram]:
     """Divisive detection: repeatedly cut the max-betweenness edge bundle.
 
     Betweenness runs on the collapsed simple graph with hop-count paths;
     removing an edge deletes the whole parallel bundle. Q is evaluated on the
     original multigraph whenever the component count grows, and the max-Q
     component partition is returned as a tuple of labels in node order,
-    densely relabelled (see `relabel_dense`). Fully deterministic.
+    densely relabelled (see `relabel_dense`). Fully deterministic. More than
+    EB_DEFAULT_EDGE_CAP collapsed edges raise SizeCapError.
 
     The cut is the edge of maximal score; among scores that are exactly
     equal as floats it is the lexicographically smallest (min-id, max-id)
@@ -132,10 +130,10 @@ def detect_eb(
     if graph.n_nodes == 0:
         raise GraphError("empty graph")
     n_edges = collapse_to_weighted(graph).n_edges
-    if n_edges > max_edges:
+    if n_edges > EB_DEFAULT_EDGE_CAP:
         raise SizeCapError(
             f"collapsed graph has {n_edges} edges "
-            f"(cap {max_edges}); use the MO or LP algorithm instead"
+            f"(cap {EB_DEFAULT_EDGE_CAP}); use the MO or LP algorithm instead"
         )
     n = graph.n_nodes
     adj = {u: set(graph.neighbors(u)) for u in range(n)}
@@ -176,9 +174,13 @@ def detect_eb(
 
 def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
     """Greedy agglomeration: merge the connected community pair of maximal
-    modularity gain until no connected pair remains; return the sweep's best
-    partition, a tuple of labels in node order densely relabelled (see
-    `relabel_dense`), and the dendrogram.
+    modularity gain while that gain is positive; return the partition of
+    maximal Q, a tuple of labels in node order densely relabelled (see
+    `relabel_dense`), and the dendrogram, which ends at that best level.
+
+    Stopping there loses no better level: merging c and d makes the gain of
+    (c+d, x) the sum of those of (c, x) and (d, x), and an unconnected pair
+    gains -d_c*d_x <= 0, so once no gain is positive none becomes so again.
 
     Merges are incremental in the manner of Clauset, Newman & Moore (2004):
     each community keeps a map of its neighbour communities and edge counts,
@@ -203,35 +205,28 @@ def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
     deg = list(graph.degree)
     nbr = [dict(graph.neighbors(u)) for u in range(n)]
     # Gain of merging (c, d) is 2*(2m*e_cd - d_c*d_d) on the numerator scale;
-    # buckets hold the halved gain.
+    # buckets hold the halved gain, and only while it is positive.
     buckets: dict[int, set[tuple[int, int]]] = {}
     for c in range(n):
         for d, e in nbr[c].items():
-            if c < d:
-                buckets.setdefault(two_m * e - deg[c] * deg[d], set()).add((c, d))
+            gain = two_m * e - deg[c] * deg[d]
+            if c < d and gain > 0:
+                buckets.setdefault(gain, set()).add((c, d))
     # Negated gains; an entry whose bucket has emptied is dropped when it
     # reaches the top.
     heap = [-gain for gain in buckets]
     heapq.heapify(heap)
 
     def drop_pair(c: int, x: int, gain: int) -> None:
-        bucket = buckets[gain]
-        bucket.discard((c, x) if c < x else (x, c))
-        if not bucket:
-            del buckets[gain]
+        if gain > 0:
+            bucket = buckets[gain]
+            bucket.discard((c, x) if c < x else (x, c))
+            if not bucket:
+                del buckets[gain]
 
-    def add_pair(c: int, x: int, gain: int) -> None:
-        bucket = buckets.get(gain)
-        if bucket is None:
-            bucket = buckets[gain] = set()
-            heapq.heappush(heap, -gain)
-        bucket.add((c, x) if c < x else (x, c))
-
-    q_num = -sum(k * k for k in graph.degree)
-    best_num = q_num
+    q_num = -sum(k * k for k in deg)
     levels = [DendrogramLevel(n, q_num / denom)]
-    best_index = 0
-    merges: list[tuple[int, int]] = []
+    comm = list(range(n))
 
     while heap:
         best_score = -heap[0]
@@ -257,21 +252,21 @@ def detect_mo(graph: ClassGraph, seed: int) -> tuple[Partition, Dendrogram]:
                 nbr_c[x] = nbr_c.get(x, 0) + e
         deg_c = deg[c] = deg_c + deg_d
         for x, e in nbr_c.items():
-            add_pair(c, x, two_m * e - deg_c * deg[x])
-        merges.append((c, d))
-        q_num += 2 * best_score
-        levels.append(DendrogramLevel(n - len(merges), q_num / denom))
-        if q_num > best_num:
-            best_num = q_num
-            best_index = len(levels) - 1
-    # Replay the merges up to the best level; c < d, so resolving nodes in
-    # ascending order finds every parent already pointing at its root.
-    comm = list(range(n))
-    for c, d in merges[:best_index]:
+            gain = two_m * e - deg_c * deg[x]
+            if gain > 0:
+                bucket = buckets.get(gain)
+                if bucket is None:
+                    bucket = buckets[gain] = set()
+                    heapq.heappush(heap, -gain)
+                bucket.add((c, x) if c < x else (x, c))
         comm[d] = c
+        q_num += 2 * best_score
+        levels.append(DendrogramLevel(n - len(levels), q_num / denom))
+    # c < d at every merge, so resolving nodes in ascending order finds every
+    # parent already pointing at its root.
     for node in range(n):
         comm[node] = comm[comm[node]]
-    return relabel_dense(comm), Dendrogram(levels, best_index)
+    return relabel_dense(comm), Dendrogram(levels, len(levels) - 1)
 
 
 def _lp_sweeps(graph: ClassGraph, labels: list[Hashable],

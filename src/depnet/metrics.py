@@ -10,7 +10,7 @@ from collections import Counter
 from typing import Sequence
 
 from . import detect
-from .errors import GraphError, SizeCapError
+from .errors import DepnetError, GraphError, SizeCapError
 from .graph import (ClassGraph, Label, Partition, check_cover,
                     component_labels, modularity_numerator)
 from .ingest import package_partition
@@ -253,9 +253,9 @@ def run_batch(
     task order, so the records do not depend on the worker count. Warnings
     the runs raise are re-emitted here in task order. The first exception
     a run raised, other than a SizeCapError, is raised here once every run
-    has ended, so that no worker is stopped in mid-run. Workers are forked,
-    which is safe only while this process runs no other thread; the CLI
-    runs none.
+    has ended, so that no worker is stopped in mid-run; a worker that dies
+    ends the batch with a DepnetError. Workers are forked, which is safe
+    only while this process runs no other thread; the CLI runs none.
     """
     global _batch_input
     if runs < 1:
@@ -281,17 +281,18 @@ def run_batch(
         if workers <= 1:
             gather(map(_run_task, tasks))
         else:
-            # Imported here: start-up pays for it only when workers run.
+            # Imported here: start-up pays for them only when workers run.
             import multiprocessing
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                # One task a chunk: EB's long run shares its worker with
-                # no seeded run.
-                gather(pool.map(_run_task, tasks, chunksize=1))
-                # The workers exit on their own before the with statement
-                # terminates the pool, so that none is killed still holding
-                # the result queue's lock, which would hang the pool.
-                pool.close()
-                pool.join()
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+            fork = multiprocessing.get_context("fork")
+            try:
+                # The executor forks every worker before it starts its thread.
+                # map's chunks of one task keep EB's long run from holding
+                # back a seeded run.
+                with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                    gather(pool.map(_run_task, tasks))
+            except BrokenExecutor:
+                raise DepnetError("a worker process died in mid-run") from None
     finally:
         _batch_input = None
         # Re-emitted as if raised in depnet.detect, where the LP cap warns,

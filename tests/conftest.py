@@ -26,6 +26,14 @@ def graph_from_pairs(pairs, n=None):
     return build_graph(fqns, [(fqns[u], fqns[v], "field") for u, v in pairs])
 
 
+def ring_lattice_pairs(n_edges):
+    """`n_edges` distinct (u, v) pairs, 5,000 <= n_edges <= 5,500, on 1,000
+    nodes: each node joined to its five successors round the ring, then
+    chords (u, u + 500) for the edges past 5,000."""
+    pairs = [(u, (u + k) % 1000) for k in range(1, 6) for u in range(1000)]
+    return pairs + [(u, u + 500) for u in range(n_edges - 5000)]
+
+
 def components(graph):
     """Label every node with the index of its connected component, by
     `component_labels` over the graph's neighbour maps."""

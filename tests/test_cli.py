@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from depnet import EXPORT_FORMATS
 from depnet.cli import main
 
-from conftest import CORPUS_DIR, GOLDEN_EDGES
+from conftest import CORPUS_DIR, GOLDEN_EDGES, ring_lattice_pairs
 
 NETWORK_TEXT = (
     "#depnet-edges v1 isolated=drop\n"
@@ -286,6 +286,22 @@ class TestExitCodes:
         bad = tmp_path / "bad.tsv"
         bad.write_text("no header\n")
         assert main(["detect", str(bad), "--algo", "lp"]) == 2
+
+    def test_past_the_eb_cap(self, run_cli, tmp_path):
+        """One edge past the 5,000-edge cap: `detect --algo eb` fails with
+        the cap's message, and a report records EB as skipped."""
+        path = tmp_path / "net.tsv"
+        path.write_text("#depnet-edges v1 isolated=drop\n" + "".join(
+            f"n{u}\tn{v}\tfield\n" for u, v in ring_lattice_pairs(5001)))
+        message = ("collapsed graph has 5001 edges (cap 5000); "
+                   "use the MO or LP algorithm instead")
+        assert run_cli(["detect", str(path), "--algo", "eb"]) == (
+            2, "", f"error: {message}\n")
+        code, out, err = run_cli(["report", str(path), "--runs", "1"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["algorithms"]["eb"] == {"skipped": message}
+        assert report["network"]["edges"] == 5001
 
     @pytest.mark.parametrize("text", ['class A { String s = "abc\\',
                                       "class A { char c = '\\",
@@ -612,3 +628,29 @@ def test_output_independent_of_hash_seed(tmp_path):
         assert sorted(files) == ["edges.tsv", "lp.tsv", "refined.tsv"]
         seen.append((stdout, files))
     assert seen[0] == seen[1] == seen[2]
+
+
+def test_every_command_runs_clean_in_dev_mode(tmp_path):
+    """Under `-X dev -W error`, with two workers for the seeded runs, every
+    command exits 0 and writes nothing to stderr: no ResourceWarning from
+    a pipe or file left open, and no warning about forking."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+              "from depnet.cli import main; sys.exit(main(sys.argv[1:]))")
+    commands = [
+        ["extract", str(CORPUS_DIR), "--out", "edges.tsv"],
+        *(["detect", "edges.tsv", "--algo", algo, "--out", f"{algo}.tsv"]
+          for algo in ("eb", "mo", "lp")),
+        ["refine", "edges.tsv", "--out", "refined.tsv"],
+        ["metrics", "edges.tsv", "mo.tsv", "refined.tsv"],
+        *(["abstract", "edges.tsv", "lp.tsv", "--format", fmt]
+          for fmt in EXPORT_FORMATS),
+        ["report", str(CORPUS_DIR)],
+        ["report", "edges.tsv"],
+    ]
+    for args in commands:
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", script, *args],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(src)})
+        assert (result.returncode, result.stderr) == (0, ""), args

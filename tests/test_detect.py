@@ -15,7 +15,8 @@ from depnet.ingest import load_edge_list
 from depnet.metrics import package_analysis
 
 import oracles
-from conftest import components, generate_tree, graph_from_pairs
+from conftest import (components, generate_tree, graph_from_pairs,
+                      ring_lattice_pairs)
 from oracles import (blocks_of, detect_eb_reference, detect_mo_reference,
                      edge_betweenness_reference, lp_sweeps_reference,
                      random_multigraph, random_partition,
@@ -79,9 +80,29 @@ class TestEB:
     def test_deterministic(self, two_triangles):
         assert detect_eb(two_triangles)[0] == detect_eb(two_triangles)[0]
 
-    def test_size_cap(self, two_triangles):
+    def test_size_cap(self, monkeypatch, two_triangles):
+        monkeypatch.setattr(detect, "EB_DEFAULT_EDGE_CAP", 3)
         with pytest.raises(SizeCapError, match="MO or LP"):
-            detect_eb(two_triangles, max_edges=3)
+            detect_eb(two_triangles)
+
+    def test_size_cap_boundary(self, monkeypatch):
+        """5,000 collapsed edges pass the cap and 5,001 do not; betweenness
+        is stubbed, as one EB run at the cap takes about 25 minutes."""
+        class Sentinel(Exception):
+            pass
+
+        def stub(adj, nodes):
+            raise Sentinel
+
+        monkeypatch.setattr(detect, "_edge_betweenness", stub)
+        at_cap = graph_from_pairs(ring_lattice_pairs(5000))
+        assert at_cap.n_nodes == 1000
+        with pytest.raises(Sentinel):
+            detect_eb(at_cap)
+        with pytest.raises(SizeCapError) as info:
+            detect_eb(graph_from_pairs(ring_lattice_pairs(5001)))
+        assert str(info.value) == ("collapsed graph has 5001 edges (cap 5000);"
+                                   " use the MO or LP algorithm instead")
 
     def test_dendrogram_records_q_per_level(self, two_triangles):
         _, dendro = detect_eb(two_triangles)
@@ -122,10 +143,23 @@ class TestMO:
                 sub = induced_subgraph(g, block)
                 assert len(set(components(sub))) == 1
 
-    def test_dendrogram_sweeps_to_single_community(self, two_triangles):
+    def test_dendrogram_rises_to_its_best_level_and_ends_there(
+            self, two_triangles):
         _, dendro = detect_mo(two_triangles, seed=0)
-        assert dendro.levels[0].n_communities == two_triangles.n_nodes
-        assert dendro.levels[-1].n_communities == 1
+        assert [level.n_communities for level in dendro.levels] == [
+            6, 5, 4, 3, 2]
+        assert dendro.best == dendro.levels[-1]
+        assert dendro.best.q == pytest.approx(TWO_TRIANGLES_Q)
+        rng = random.Random(18)
+        for _ in range(40):
+            g = random_multigraph(rng, max_nodes=30, max_edges=60)
+            _, dendro = detect_mo(g, seed=rng.randrange(1 << 32))
+            n = g.n_nodes
+            assert [level.n_communities for level in dendro.levels] == list(
+                range(n, n - len(dendro.levels), -1))
+            assert all(a.q < b.q
+                       for a, b in zip(dendro.levels, dendro.levels[1:]))
+            assert dendro.best_index == len(dendro.levels) - 1
 
 
 def assert_same_partition(part, ref_part):
@@ -137,8 +171,12 @@ def assert_mo_matches_reference(graph, seed):
     part, dendro = detect_mo(graph, seed)
     ref_part, ref_dendro = detect_mo_reference(graph, seed)
     assert_same_partition(part, ref_part)
-    assert dendro.levels == ref_dendro.levels
+    # The reference sweeps on until no connected pair remains; MO ends at
+    # its best level, and no later reference level is better.
+    assert dendro.levels == ref_dendro.levels[:ref_dendro.best_index + 1]
     assert dendro.best_index == ref_dendro.best_index
+    assert all(level.q <= ref_dendro.best.q
+               for level in ref_dendro.levels[ref_dendro.best_index + 1:])
 
 
 TIE_HEAVY_SHAPES = {
@@ -155,7 +193,7 @@ TIE_HEAVY_SHAPES = {
 
 class TestMOMatchesReference:
     """The incremental MO reproduces the full-rescan reference exactly:
-    partition, every dendrogram level and the best index."""
+    partition, every dendrogram level up to the best and the best index."""
 
     def test_random_multigraphs(self):
         rng = random.Random(2004)

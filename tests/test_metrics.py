@@ -1,7 +1,9 @@
 import json
-import multiprocessing.pool
+import multiprocessing.process
+import os
 import pickle
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -359,6 +361,16 @@ class TestRunBatch:
             run_batch(g, (algorithm,), 2, 0, ("a", "a", "b"))
 
 
+def path_network(tmp_path):
+    """Write the edge file of a 41-node path, on which label propagation
+    needs more than one sweep; returns its path."""
+    network = tmp_path / "path.tsv"
+    network.write_text("#depnet-edges v1 isolated=drop\n" + "".join(
+        f"{a}\t{b}\tfield\n" for a, b in sorted(
+            tuple(sorted((f"n{u}", f"n{u + 1}"))) for u in range(40))))
+    return network
+
+
 class TestRunBatchWorkers:
     """Each CPU count makes a different number of workers; the results,
     warnings and errors must not depend on it."""
@@ -391,10 +403,7 @@ class TestRunBatchWorkers:
     def test_cap_warning_printed_once_as_in_one_process(self, tmp_path):
         """Under the default filter a repeated warning prints once, at
         depnet/detect.py, whichever process raised it."""
-        network = tmp_path / "path.tsv"
-        network.write_text("#depnet-edges v1 isolated=drop\n" + "".join(
-            f"{a}\t{b}\tfield\n" for a, b in sorted(
-                tuple(sorted((f"n{u}", f"n{u + 1}"))) for u in range(40))))
+        network = path_network(tmp_path)
         script = ("import os, sys; from depnet import detect; "
                   "from depnet.cli import main; "
                   "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1]))); "
@@ -487,25 +496,64 @@ class TestRunBatchWorkers:
             assert type(back) is type(error)
             assert (str(back), vars(back)) == (str(error), vars(error))
 
-    def test_workers_exit_before_the_pool_terminates(self, monkeypatch,
-                                                     two_triangles):
-        """`Pool.terminate` kills the workers still running; one killed
-        while sending a result leaves the result queue's lock held, and
-        the pool hangs. So every worker has exited, with status 0, by then,
-        after a batch that succeeds and after one whose runs fail."""
-        real_terminate = multiprocessing.pool.Pool.terminate
-        exitcodes: list = []
+    def test_workers_exit_before_the_batch_returns(self, monkeypatch,
+                                                    two_triangles):
+        """Every worker has exited, with status 0, when the batch returns,
+        after a batch that succeeds and after one whose runs fail: none is
+        killed, and none is left running."""
+        real_start = multiprocessing.process.BaseProcess.start
+        workers: list = []
 
-        def terminate(pool):
-            exitcodes.extend(worker.exitcode for worker in pool._pool)
-            real_terminate(pool)
+        def start(process):
+            workers.append(process)
+            real_start(process)
 
-        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            start)
         use_cpus(monkeypatch, 2)
         run_batch(two_triangles, ("mo", "lp"), 4, 0, (0,) * 6)
         with pytest.raises(GraphError, match="no edges"):
             run_batch(build_graph(["a", "b"], []), ("lp",), 4, 0, (0, 0))
-        assert exitcodes == [0] * 4
+        assert [worker.exitcode for worker in workers] == [0] * 4
+
+    def test_a_dead_worker_ends_the_command_with_an_error(self, tmp_path):
+        """A worker killed in mid-batch ends `detect` with exit 2 and one
+        error line, and leaves no process running."""
+        network = path_network(tmp_path)
+        script = (
+            "import os, signal, sys; from depnet import detect; "
+            "from depnet.cli import main; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "
+            "real = detect.detect_lp\n"
+            "def detect_lp(graph, seed):\n"
+            "    if seed == 3: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(graph, seed)\n"
+            "detect.detect_lp = detect_lp; sys.exit(main(sys.argv[1:]))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        process = subprocess.Popen(
+            [sys.executable, "-c", script, "detect", str(network),
+             "--algo", "lp", "--runs", "6", "--seed", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={"PYTHONPATH": str(src)}, start_new_session=True)
+        try:
+            stdout, stderr = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("detect hung after its worker died")
+        assert (process.returncode, stdout) == (2, "")
+        assert stderr == "error: a worker process died in mid-run\n"
+        # The session's process group is empty once its workers are gone.
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(process.pid, 0)
+            except ProcessLookupError:
+                break
+            if time.monotonic() > deadline:
+                os.killpg(process.pid, signal.SIGKILL)
+                pytest.fail("a worker outlived the command")
+            time.sleep(0.05)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
