@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import random
 import warnings
-from typing import Hashable, Iterable, NamedTuple
+from typing import Hashable, NamedTuple, Sequence
 
 from .errors import GraphError, SizeCapError
 from .graph import (ClassGraph, Partition, check_cover, collapse_to_weighted,
@@ -38,42 +38,47 @@ class Dendrogram(NamedTuple):
         return self.levels[self.best_index]
 
 
-def _edge_betweenness(
-    adj: dict[int, set[int]],
-    nodes: Iterable[int],
-) -> dict[tuple[int, int], float]:
-    """Brandes accumulation over hop-count shortest paths.
+def _edge_indexed(graph: ClassGraph) -> tuple[list[tuple[int, int]],
+                                              list[dict[int, int]]]:
+    """The collapsed edges numbered in lexicographic (min-id, max-id) order,
+    and per node a map from each neighbour to their edge's number, in the
+    iteration order of the set of its neighbours (EB's float sum order)."""
+    n = graph.n_nodes
+    ends = [(u, v) for u in range(n) for v in sorted(graph.neighbors(u))
+            if u < v]
+    index = {edge: e for e, edge in enumerate(ends)}
+    return ends, [{v: index[min(u, v), max(u, v)]
+                   for v in set(graph.neighbors(u))} for u in range(n)]
+
+
+def _edge_betweenness(nbrs: list[dict[int, int]], nodes: Sequence[int],
+                      scores: list[float]) -> None:
+    """Brandes accumulation over hop-count shortest paths, in place.
 
     The score of an edge is the number of unordered node pairs whose shortest
-    paths traverse it, split equally among equal-length alternatives. Only
-    the edges among `nodes` are scored: they must be ascending and closed
-    under adjacency (whole components). Sources run in ascending id order and
-    each neighbour is visited in `adj`'s set order, so every float sum is
-    formed in the same order however the graph is split into calls.
+    paths traverse it, split equally among equal-length alternatives; each
+    pair is counted from both ends, so `scores[e]` receives twice that.
+    `nbrs[u]` maps each neighbour of u to their edge's index in `scores`.
+    Only the scores of the edges among `nodes` are rewritten: the nodes must
+    be ascending and closed under adjacency (whole components). Sources run
+    in ascending id order and each neighbour is visited in `nbrs`'s order, so
+    every float sum is formed in the same order however the graph is split
+    into calls.
     """
-    nodes = list(nodes)
-    index = {u: i for i, u in enumerate(nodes)}
-    # Dense relabelling: nbrs[i] lists (neighbour, edge index) slots.
-    keys: list[tuple[int, int]] = []
-    edge_index: dict[tuple[int, int], int] = {}
-    nbrs: list[list[tuple[int, int]]] = []
+    n = len(nbrs)
+    # slots[u]: nbrs[u]'s (neighbour, edge index) pairs; the BFS iterates a
+    # list faster than a dict's items.
+    slots: list[list[tuple[int, int]]] = [[]] * n
     for u in nodes:
-        slots = []
-        for v in list(adj[u]):
-            key = (u, v) if u < v else (v, u)
-            e = edge_index.get(key)
-            if e is None:
-                e = edge_index[key] = len(keys)
-                keys.append(key)
-            slots.append((index[v], e))
-        nbrs.append(slots)
-    scores = [0.0] * len(keys)
-    dist = [-1] * len(nodes)
-    sigma = [0.0] * len(nodes)
-    delta = [0.0] * len(nodes)
+        slots[u] = pairs = list(nbrs[u].items())
+        for _, e in pairs:
+            scores[e] = 0.0
+    dist = [-1] * n
+    sigma = [0.0] * n
+    delta = [0.0] * n
     # preds[v]: (predecessor, edge index) slots, in BFS order.
-    preds: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    for source in range(len(nodes)):
+    preds: list[list[tuple[int, int]] | None] = [None] * n
+    for source in nodes:
         dist[source] = 0
         sigma[source] = 1.0
         preds[source] = []
@@ -81,7 +86,7 @@ def _edge_betweenness(
         for u in order:
             d_next = dist[u] + 1
             sigma_u = sigma[u]
-            for v, e in nbrs[u]:
+            for v, e in slots[u]:
                 d_v = dist[v]
                 if d_v < 0:
                     dist[v] = d_next
@@ -101,8 +106,6 @@ def _edge_betweenness(
                 contribution = sigma[u] / sigma_w * weight
                 scores[e] += contribution
                 delta[u] += contribution
-    # Each unordered pair was counted from both endpoints.
-    return {key: score / 2.0 for key, score in zip(keys, scores)}
 
 
 def detect_eb(graph: ClassGraph) -> tuple[Partition, Dendrogram]:
@@ -115,17 +118,18 @@ def detect_eb(graph: ClassGraph) -> tuple[Partition, Dendrogram]:
     densely relabelled (see `relabel_dense`). Fully deterministic. More than
     EB_DEFAULT_EDGE_CAP collapsed edges raise SizeCapError.
 
-    The cut is the edge of maximal score; among scores that are exactly
-    equal as floats it is the lexicographically smallest (min-id, max-id)
-    pair. Equivalent edges can still get different scores through rounding
-    (the 4-cube's 32 equivalent edges get 5 distinct ones), so the tie-break
-    does not always decide between them; see ROADMAP item 4 (EB ties).
+    The edges are numbered once in lexicographic (min-id, max-id) order, and
+    the cut is the edge of maximal score; among scores that are exactly
+    equal as floats it is the one of smallest index. Equivalent edges can
+    still get different scores through rounding (the 4-cube's 32 equivalent
+    edges get 5 distinct ones), so the tie-break does not always decide
+    between them; see ROADMAP item 4 (EB ties).
 
     After a cut, betweenness can change only inside the component that lost
     the edge (Newman & Girvan 2004), so Brandes (2001) is rerun only there:
     on the one component, or on both halves if the cut split it. A cut costs
     O(k*e) for a component of k nodes and e edges instead of O(n*m) for the
-    whole graph; the search for the maximal score still scans every edge.
+    whole graph.
     """
     if graph.n_nodes == 0:
         raise GraphError("empty graph")
@@ -136,33 +140,35 @@ def detect_eb(graph: ClassGraph) -> tuple[Partition, Dendrogram]:
             f"(cap {EB_DEFAULT_EDGE_CAP}); use the MO or LP algorithm instead"
         )
     n = graph.n_nodes
-    adj = {u: set(graph.neighbors(u)) for u in range(n)}
+    ends, nbrs = _edge_indexed(graph)
     denom = 4 * graph.m ** 2 if graph.m else 1
 
-    comp = component_labels(adj, range(n))
-    partition = tuple(comp[u] for u in range(n))
-    n_components = len(set(partition))
-    best_num = modularity_numerator(graph, partition)
-    best_partition = partition
+    comp = component_labels(nbrs, range(n))
+    labels = [comp[u] for u in range(n)]
+    best_partition = tuple(labels)
+    n_components = len(set(labels))
+    best_num = modularity_numerator(graph, best_partition)
     levels = [DendrogramLevel(n_components, best_num / denom)]
     best_index = 0
 
-    scores = _edge_betweenness(adj, range(n))
-    while scores:
-        cut = max(scores.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))[0]
-        del scores[cut]
-        u, v = cut
-        adj[u].discard(v)
-        adj[v].discard(u)
+    scores = [0.0] * len(ends)
+    _edge_betweenness(nbrs, range(n), scores)
+    for _ in ends:
+        e = scores.index(max(scores))
+        scores[e] = -1.0
+        u, v = cut = ends[e]
+        del nbrs[u][v], nbrs[v][u]
         # Side 0 is u's component; v is on side 1 if the cut split them.
-        reach = component_labels(adj, cut)
+        reach = component_labels(nbrs, cut)
         for side in range(reach[v] + 1):
-            scores.update(_edge_betweenness(
-                adj, sorted(x for x, c in reach.items() if c == side)))
+            _edge_betweenness(
+                nbrs, sorted(x for x, c in reach.items() if c == side), scores)
         if reach[v]:
-            comp = component_labels(adj, range(n))
-            partition = tuple(comp[u] for u in range(n))
+            for x, c in reach.items():
+                if c:
+                    labels[x] = n_components
             n_components += 1
+            partition = tuple(labels)
             num = modularity_numerator(graph, partition)
             levels.append(DendrogramLevel(n_components, num / denom))
             if num > best_num:

@@ -57,7 +57,6 @@ class ClassGraph:
         self._fqns = tuple(fqns)
         if len(set(self._fqns)) != len(self._fqns):
             raise GraphError("duplicate node fqns")
-        self._index = {fqn: i for i, fqn in enumerate(self._fqns)}
         # Exact dicts, not Counters: EB sums floats in the iteration order of
         # sets built from these maps, and CPython lays out a set built from an
         # exact dict differently from one built from a dict subclass.
@@ -96,12 +95,6 @@ class ClassGraph:
     @property
     def degree(self) -> tuple[int, ...]:
         return self._degree
-
-    def id_of(self, fqn: str) -> int:
-        try:
-            return self._index[fqn]
-        except KeyError:
-            raise GraphError(f"unknown class fqn {fqn!r}") from None
 
     def neighbors(self, node: int) -> dict[int, int]:
         """Neighbor -> edge multiplicity: the node's edges with each bundle

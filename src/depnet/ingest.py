@@ -209,6 +209,7 @@ def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
     Every fqn must be a node of the graph and appear on exactly one line.
     """
     labels: list[str | None] = [None] * graph.n_nodes
+    index = {fqn: i for i, fqn in enumerate(graph.fqns)}
     first_line: dict[int, int] = {}
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
@@ -218,12 +219,9 @@ def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 2 tab-separated fields")
         fqn, label = parts
-        try:
-            node = graph.id_of(fqn)
-        except GraphError:
-            raise FormatError(
-                f"line {lineno}: unknown class {fqn!r}"
-            ) from None
+        node = index.get(fqn)
+        if node is None:
+            raise FormatError(f"line {lineno}: unknown class {fqn!r}")
         if node in first_line:
             raise FormatError(
                 f"line {lineno}: duplicate class {fqn!r} "

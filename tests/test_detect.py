@@ -9,7 +9,7 @@ import pytest
 from depnet import (GraphError, SizeCapError, detect_eb, detect_lp,
                     detect_mo, modularity, refine_packages)
 from depnet import detect
-from depnet.detect import _edge_betweenness, _lp_sweeps
+from depnet.detect import _edge_betweenness, _edge_indexed, _lp_sweeps
 from depnet.graph import component_labels, relabel_dense
 from depnet.ingest import load_edge_list
 from depnet.metrics import package_analysis
@@ -37,10 +37,17 @@ def clique_ring(n_cliques=4, clique_size=8):
     return graph_from_pairs(pairs)
 
 
+def halved(ends, scores):
+    """The kernel's doubled scores as a map from edge to betweenness."""
+    return {edge: score / 2.0 for edge, score in zip(ends, scores)}
+
+
 def edge_betweenness(graph):
     """Edge betweenness of the whole graph with parallel edges merged."""
-    adj = {u: set(graph.neighbors(u)) for u in range(graph.n_nodes)}
-    return _edge_betweenness(adj, range(graph.n_nodes))
+    ends, nbrs = _edge_indexed(graph)
+    scores = [0.0] * len(ends)
+    _edge_betweenness(nbrs, range(graph.n_nodes), scores)
+    return halved(ends, scores)
 
 
 class TestEdgeBetweenness:
@@ -62,6 +69,27 @@ class TestEdgeBetweenness:
             graph_from_pairs([(0, 1), (1, 2), (2, 3), (0, 3)]))
         # Each opposite pair splits its two shortest paths evenly.
         assert all(s == pytest.approx(2.0) for s in scores.values())
+
+    def test_rewrites_only_the_edges_among_its_nodes(self):
+        """Scoring one component overwrites its own edges' stale scores and
+        leaves every other score as it was; scoring the components one by
+        one gives exactly the whole graph's floats."""
+        g = random_sparse_multigraph(random.Random(19), 60, 0.8)
+        ends, nbrs = _edge_indexed(g)
+        whole = [0.0] * len(ends)
+        _edge_betweenness(nbrs, range(g.n_nodes), whole)
+        labels = component_labels(nbrs, range(g.n_nodes))
+        blocks = [sorted(u for u, c in labels.items() if c == comp)
+                  for comp in set(labels.values())]
+        assert sum(len(block) > 2 for block in blocks) >= 2
+        scores = [-1.0 - e for e in range(len(ends))]
+        for block in blocks:
+            before = list(scores)
+            _edge_betweenness(nbrs, block, scores)
+            inside = {e for u in block for e in nbrs[u].values()}
+            assert scores == [whole[e] if e in inside else before[e]
+                              for e in range(len(ends))]
+        assert scores == whole
 
 
 class TestEB:
@@ -91,7 +119,7 @@ class TestEB:
         class Sentinel(Exception):
             pass
 
-        def stub(adj, nodes):
+        def stub(nbrs, nodes, scores):
             raise Sentinel
 
         monkeypatch.setattr(detect, "_edge_betweenness", stub)
@@ -270,12 +298,13 @@ def assert_eb_matches_reference(graph):
     ref_scores = edge_betweenness_reference(adj)
     assert edge_betweenness(graph) == ref_scores
     # Scoring each component on its own gives the whole-graph floats.
-    labels = component_labels(adj, range(graph.n_nodes))
-    local: dict = {}
+    ends, nbrs = _edge_indexed(graph)
+    labels = component_labels(nbrs, range(graph.n_nodes))
+    local = [0.0] * len(ends)
     for comp in set(labels.values()):
-        local.update(_edge_betweenness(
-            adj, sorted(u for u, c in labels.items() if c == comp)))
-    assert local == ref_scores
+        _edge_betweenness(
+            nbrs, sorted(u for u, c in labels.items() if c == comp), local)
+    assert halved(ends, local) == ref_scores
 
 
 class TestEBMatchesReference:
