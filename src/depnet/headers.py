@@ -186,6 +186,9 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, int]], source: str,
                  filename: str | None = None):
         self.tokens = tokens
+        # The token texts alone: the hot paths below index this list
+        # rather than call the helpers.
+        self.texts = [text for text, _ in tokens]
         self.source = source
         self.pos = 0
         self.depth = 0  # see MAX_NESTING
@@ -198,14 +201,14 @@ class _Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self) -> str:
-        return self.tokens[self.pos][0]
+        return self.texts[self.pos]
 
     def next(self) -> str:
         self.pos += 1
-        return self.tokens[self.pos - 1][0]
+        return self.texts[self.pos - 1]
 
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos][0] == text
+        return self.texts[self.pos] == text
 
     def error(self, message: str, index: int | None = None) -> ParseError:
         """ParseError at token `index`, by default the current one."""
@@ -213,7 +216,7 @@ class _Parser:
         return ParseError(message, *position(self.source, offset), self.filename)
 
     def expect(self, text: str) -> None:
-        if not self.at(text):
+        if self.texts[self.pos] != text:
             raise self.error(f"expected {text!r}, found {self.peek()!r}")
         self.pos += 1
 
@@ -224,7 +227,7 @@ class _Parser:
             raise self.error("nesting too deep")
 
     def expect_ident(self) -> str:
-        text = self.peek()
+        text = self.texts[self.pos]
         if not _is_identifier(text) or text in KEYWORDS:
             raise self.error(f"expected identifier, found {text!r}")
         self.pos += 1
@@ -256,8 +259,9 @@ class _Parser:
 
     def qualified_name(self) -> str:
         parts = [self.expect_ident()]
-        while self.at("."):
-            self.next()
+        texts = self.texts
+        while texts[self.pos] == ".":
+            self.pos += 1
             parts.append(self.expect_ident())
         return ".".join(parts)
 
@@ -287,8 +291,9 @@ class _Parser:
             self.next()
             decl.supertypes.extend(self.supertypes())
         self.expect("{")
-        while not self.at("}"):
-            if self.at(""):
+        texts = self.texts
+        while texts[self.pos] != "}":
+            if texts[self.pos] == "":
                 raise self.error("unexpected end of input in class body")
             self.member(decl)
         self.next()  # closing brace
@@ -332,72 +337,74 @@ class _Parser:
             self.next()
 
     def type_ref(self) -> TypeRef:
+        texts = self.texts
         args: list[TypeRef] = []
-        if self.at("?"):
-            self.next()
-            if self.at("extends") or self.at("super"):
+        name = texts[self.pos]
+        if name == "?":
+            self.pos += 1
+            if texts[self.pos] in ("extends", "super"):
                 self.enter()
-                self.next()
+                self.pos += 1
                 self.store(args, self.type_ref())
                 self.depth -= 1
             return TypeRef("?", args)
-        name = self.peek()
         if not _is_identifier(name):
             raise self.error(f"expected type, found {name!r}")
         if name == "void":
-            self.next()
+            self.pos += 1
             return TypeRef(name, args)
         if name in PRIMITIVES:
-            self.next()
+            self.pos += 1
         else:
-            if name in self.type_vars and self.tokens[self.pos + 1][0] == ".":
+            if name in self.type_vars and texts[self.pos + 1] == ".":
                 raise self.error(
                     f"member type selected from type variable {name!r}")
             name = self.qualified_name()
-        if self.at("<"):
+        if texts[self.pos] == "<":
             if name in PRIMITIVES or name in self.type_vars:
                 kind = "primitive" if name in PRIMITIVES else "type variable"
                 raise self.error(f"type arguments on {kind} {name!r}")
             self.enter()
-            self.next()
+            self.pos += 1
             self.store(args, self.type_ref())
-            while self.at(","):
-                self.next()
+            while texts[self.pos] == ",":
+                self.pos += 1
                 self.store(args, self.type_ref())
             self.expect(">")
             self.depth -= 1
-        while self.at("["):
-            self.next()
+        while texts[self.pos] == "[":
+            self.pos += 1
             self.expect("]")  # arrays decay to the element type
         return TypeRef(name, args)
 
     def member(self, decl: ClassDecl) -> None:
-        if self.peek() in ("class", "interface"):
+        texts = self.texts
+        if texts[self.pos] in ("class", "interface"):
             self.enter()
             self.type_decl(outer=decl)
             self.depth -= 1
             return
         self.type_vars = decl.type_params
-        if self.at("<"):
+        if texts[self.pos] == "<":
             self.type_vars = decl.type_params | self.type_param_names()
         ref = self.type_ref()
-        if self.at("("):
+        if texts[self.pos] == "(":
             # Constructor: the "type" was the class name.
             if ref.name != decl.simple_name:
                 raise self.error(f"unexpected '(' after {ref.name!r}")
             self.method_tail(decl, return_ref=None, is_ctor=True)
             return
         self.expect_ident()
-        if self.at("("):
+        if texts[self.pos] == "(":
             self.method_tail(decl, return_ref=ref)
             return
         # Field declaration, possibly multi-name with initializers.
         self.store(decl.field_types, ref)
         while True:
-            if self.at("="):
+            if texts[self.pos] == "=":
                 self.skip_initializer()
-            if self.at(","):
-                self.next()
+            if texts[self.pos] == ",":
+                self.pos += 1
                 self.expect_ident()
                 self.store(decl.field_types, ref)
                 continue
@@ -407,27 +414,28 @@ class _Parser:
     def method_tail(self, decl: ClassDecl, return_ref: TypeRef | None,
                     is_ctor: bool = False) -> None:
         """Parse '(params) [throws ...] (; | {body})' and record the types."""
+        texts = self.texts
         self.expect("(")
         params: list[TypeRef] = []
-        if not self.at(")"):
+        if texts[self.pos] != ")":
             while True:
                 params.append(self.type_ref())
-                if self.at("..."):
-                    self.next()
-                if _is_identifier(self.peek()) and self.peek() not in KEYWORDS:
-                    self.next()  # parameter name is optional
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+                if texts[self.pos] == "...":
+                    self.pos += 1
+                text = texts[self.pos]
+                if _is_identifier(text) and text not in KEYWORDS:
+                    self.pos += 1  # parameter name is optional
+                if texts[self.pos] != ",":
+                    break
+                self.pos += 1
         self.expect(")")
-        if self.at("throws"):
-            self.next()
+        if texts[self.pos] == "throws":
+            self.pos += 1
             self.qualified_name()
-            while self.at(","):
-                self.next()
+            while texts[self.pos] == ",":
+                self.pos += 1
                 self.qualified_name()
-        if self.at("{"):
+        if texts[self.pos] == "{":
             self.skip_block()
         else:
             self.expect(";")
@@ -446,33 +454,44 @@ class _Parser:
         bucket.append(ref)
 
     def skip_block(self) -> None:
-        depth = 0
+        """Skip from the current '{' past the '}' that closes it: the first
+        '}' at which as many '}' as '{' have been passed. Each '}' is found
+        with `list.index` and the '{' before it counted over a slice, so
+        no Python step is taken per token."""
+        texts = self.texts
+        pos = self.pos
+        opened = closed = 0
         while True:
-            if self.at(""):
-                raise self.error("unterminated block")
-            text = self.next()
-            if text == "{":
-                depth += 1
-            elif text == "}":
-                depth -= 1
-                if depth == 0:
-                    return
+            try:
+                close = texts.index("}", pos)
+            except ValueError:
+                raise self.error("unterminated block",
+                                 len(texts) - 1) from None
+            opened += texts[pos:close].count("{")
+            closed += 1
+            pos = close + 1
+            if closed == opened:
+                self.pos = pos
+                return
 
     def skip_initializer(self) -> None:
         """Skip '= ...' up to the terminating ';' or ',' at nesting depth 0."""
         self.expect("=")
+        texts = self.texts
+        pos = self.pos
         depth = 0
         while True:
-            text = self.peek()
+            text = texts[pos]
             if text == "":
-                raise self.error("unterminated field initializer")
+                raise self.error("unterminated field initializer", pos)
             if text in ("{", "(", "["):
                 depth += 1
             elif text in ("}", ")", "]"):
                 depth -= 1
             elif text in (";", ",") and depth == 0:
+                self.pos = pos
                 return
-            self.next()
+            pos += 1
 
 
 def parse_class_headers(source_text: str, filename: str | None = None) -> list[ClassDecl]:

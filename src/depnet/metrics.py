@@ -4,7 +4,6 @@ distributions with a power-law fit, and batch aggregation over seeded runs."""
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from collections import Counter
 from typing import Sequence
@@ -13,7 +12,7 @@ from . import detect
 from .errors import DepnetError, GraphError, SizeCapError
 from .graph import (ClassGraph, Label, Partition, check_cover,
                     component_labels, modularity_numerator)
-from .ingest import package_partition
+from .ingest import package_partition, usable_cpus
 
 SIGNIFICANT_Q = 0.30  # conventional threshold for meaningful community structure
 
@@ -267,8 +266,7 @@ def run_batch(
     tasks = [(algorithm, seed) for algorithm in outcomes
              for seed in ([base_seed] if algorithm == "eb"
                           else range(base_seed, base_seed + runs))]
-    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS
-    workers = min(runs, len(tasks), len(affinity(0)) if affinity else 1)
+    workers = min(runs, len(tasks), usable_cpus())
     warned: list[tuple] = []
 
     def gather(results) -> None:

@@ -542,7 +542,8 @@ def test_malformed_input_exits_zero_or_two(tmp_path_factory, files):
 def test_cli_import_skips_xml_and_network_modules(tmp_path):
     """Start-up stays lean: it loads no third-party module and no json;
     hashlib (report digest only) loads OpenSSL; multiprocessing is needed
-    only when seeded runs fork workers. GraphML export escapes without
+    only when seeded runs fork workers, and never to fork the children that
+    parse a share of the sources. GraphML export escapes without
     xml.sax.saxutils, which pulls in urllib.request and http.client.
     Of depnet itself, start-up loads only the CLI, and each command only the
     layers it runs: extraction no detector, metric, report or abstraction,
@@ -565,11 +566,15 @@ def test_cli_import_skips_xml_and_network_modules(tmp_path):
         "depnet", "depnet.cli", "depnet.errors"}
 
     run = "from depnet.cli import main; assert main({!r}) == 0"
-    extract = loaded(run.format(
-        ["extract", str(CORPUS_DIR), "--out", "edges.tsv"]))
+    # Extraction on two shares, so that one is parsed in a forked child.
+    extract = loaded(
+        "import os; os.sched_getaffinity = lambda pid: {0, 1}; "
+        "import depnet.ingest; depnet.ingest.MIN_SHARE_CHARS = 1; "
+        + run.format(["extract", str(CORPUS_DIR), "--out", "edges.tsv"]))
     assert "depnet.headers" in extract
     assert extract & {"depnet.detect", "depnet.metrics", "depnet.report",
-                      "depnet.abstract", "dataclasses", "inspect"} == set()
+                      "depnet.abstract", "dataclasses", "inspect",
+                      "multiprocessing", "concurrent.futures"} == set()
     report = loaded(run.format(
         ["report", "edges.tsv", "--runs", "1", "--out", "report.json"]))
     assert "depnet.report" in report

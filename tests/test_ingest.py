@@ -1,18 +1,22 @@
 import io
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from depnet import (FormatError, GraphError, ResolveError,
-                    ResolveOptions, build_graph, load_edge_list,
+from depnet import (DepnetError, FormatError, GraphError, ParseError,
+                    ResolveError, ResolveOptions, build_graph, load_edge_list,
                     load_partition, package_partition, parse_class_headers,
                     parse_corpus, remove_isolated, resolve_dependencies,
                     write_edge_list, write_partition)
+from depnet import headers, ingest
 from depnet.graph import relabel_dense
 from depnet.ingest import KINDS, read_text
 
-from conftest import CORPUS_DIR, GOLDEN_EDGES
+from conftest import CORPUS_DIR, GOLDEN_EDGES, generate_tree
 
 F, I, P, R = "field", "inheritance", "parameter", "return"
 
@@ -279,3 +283,138 @@ def test_read_text_names_a_file_that_is_not_utf8(tmp_path):
         read_text(path)
     path.write_bytes("class Café {}".encode("utf-8"))
     assert read_text(path) == "class Café {}"
+
+
+class TestForkedParse:
+    """`parse_corpus` parses its first share in this process and each other
+    share in a forked child. MIN_SHARE_CHARS is set to 1 and the usable
+    CPUs are set by hand, so the share count is min(CPUs, files) whatever
+    the machine."""
+
+    BROKEN = "class {"  # ParseError: expected identifier, found '{'
+
+    @pytest.fixture
+    def shares(self, monkeypatch):
+        """Sets the share count (1 to 3) and returns os.fork's call count."""
+        monkeypatch.setattr(ingest, "MIN_SHARE_CHARS", 1)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+        def use(count: int) -> list:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(count)), raising=False)
+            return forks
+
+        return use
+
+    @staticmethod
+    def assert_no_child() -> None:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def corpus() -> list[tuple[str, str]]:
+        return [(p.name, p.read_text())
+                for p in sorted(CORPUS_DIR.glob("*.chd"))]
+
+    def parse_error(self, sources) -> str:
+        with pytest.raises(ParseError) as caught:
+            parse_corpus(sources)
+        self.assert_no_child()
+        return str(caught.value)
+
+    def test_same_result_for_every_share_count(self, shares, tmp_path):
+        tree = generate_tree(tmp_path, 4, 240) / "src"
+        generated = [(str(p), p.read_text())
+                     for p in sorted(tree.rglob("*.chd"))]
+        assert len(generated) >= 200
+        for sources in (self.corpus(), generated):
+            results = []
+            for count in (1, 2, 3):
+                forks = shares(count)
+                forks.clear()
+                results.append(parse_corpus(sources))
+                assert len(forks) == count - 1
+                self.assert_no_child()
+            assert results[0] == results[1] == results[2]
+
+    def test_small_corpus_forks_nothing(self, shares, monkeypatch):
+        forks = shares(3)
+        monkeypatch.setattr(ingest, "MIN_SHARE_CHARS", 64 * 1024)
+        parse_corpus(self.corpus())
+        assert forks == []
+
+    def test_first_error_in_file_order_wins(self, shares):
+        sources = self.corpus()
+        first = [("first.chd", self.BROKEN), *sources[1:]]
+        last = [*sources[:-1], ("last.chd", self.BROKEN)]
+        both = [("first.chd", self.BROKEN), *sources[1:-1],
+                ("last.chd", self.BROKEN)]
+        # With three shares, an error in the second child's share comes
+        # after one in the first child's.
+        mid = len(sources) // 2
+        middle = [*sources[:mid], ("middle.chd", self.BROKEN),
+                  *sources[mid + 1:-1], ("last.chd", self.BROKEN)]
+        cases = (first, last, both, middle)
+        shares(1)
+        expected = [self.parse_error(s) for s in cases]
+        assert expected[0].startswith("first.chd:1:7: expected identifier")
+        assert expected[1].startswith("last.chd:1:7: expected identifier")
+        assert expected[2] == expected[0]
+        assert expected[3].startswith("middle.chd:1:7: expected identifier")
+        for count in (2, 3):
+            shares(count)
+            assert [self.parse_error(s) for s in cases] == expected
+
+    def test_child_that_dies_raises(self, shares, monkeypatch):
+        sources = self.corpus()
+        parse = headers.parse_class_headers
+
+        def die_on_last(text, filename=None):
+            if filename == sources[-1][0]:
+                os._exit(3)
+            return parse(text, filename)
+
+        monkeypatch.setattr(headers, "parse_class_headers", die_on_last)
+        shares(2)
+        with pytest.raises(DepnetError,
+                           match="a worker process died in mid-run"):
+            parse_corpus(sources)
+        self.assert_no_child()
+
+    def test_interrupt_in_own_share_stops_every_child(self, shares,
+                                                      monkeypatch):
+        sources = self.corpus()
+        parse = headers.parse_class_headers
+
+        def interrupt_on_first(text, filename=None):
+            if filename == sources[0][0]:
+                raise KeyboardInterrupt
+            return parse(text, filename)
+
+        monkeypatch.setattr(headers, "parse_class_headers",
+                            interrupt_on_first)
+        shares(3)
+        with pytest.raises(KeyboardInterrupt):
+            parse_corpus(sources)
+        self.assert_no_child()
+
+    def test_forked_extract_runs_clean_in_dev_mode(self, tmp_path):
+        """Under `-X dev -W error`, extraction on two shares writes the
+        golden edges and nothing to stderr: no ResourceWarning from a
+        pipe left open."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                  "import depnet.ingest; depnet.ingest.MIN_SHARE_CHARS = 1; "
+                  "os_fork = os.fork; forks = []; "
+                  "os.fork = lambda: forks.append(1) or os_fork(); "
+                  "from depnet.cli import main; "
+                  "assert main(sys.argv[1:]) == 0 and forks == [1]")
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", script,
+             "extract", str(CORPUS_DIR), "--out", "edges.tsv"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(src)})
+        assert (result.returncode, result.stderr) == (0, "")
+        assert (tmp_path / "edges.tsv").read_text() == GOLDEN_EDGES.read_text()
