@@ -16,7 +16,7 @@ from depnet import headers, ingest
 from depnet.graph import relabel_dense
 from depnet.ingest import KINDS, read_text
 
-from conftest import CORPUS_DIR, GOLDEN_EDGES, generate_tree
+from conftest import CORPUS_DIR, GOLDEN_EDGES, generate_tree, use_cpus
 
 F, I, P, R = "field", "inheritance", "parameter", "return"
 
@@ -294,19 +294,18 @@ class TestForkedParse:
     BROKEN = "class {"  # ParseError: expected identifier, found '{'
 
     @pytest.fixture
-    def shares(self, monkeypatch):
-        """Sets the share count (1 to 3) and returns os.fork's call count."""
-        monkeypatch.setattr(ingest, "MIN_SHARE_CHARS", 1)
-        forks = []
+    def forks(self, monkeypatch) -> list:
+        """Gets one item per call of os.fork."""
+        forks: list = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
 
-        def use(count: int) -> list:
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid: set(range(count)), raising=False)
-            return forks
-
-        return use
+    @pytest.fixture
+    def shares(self, monkeypatch):
+        """Sets the share count to min(count, files)."""
+        monkeypatch.setattr(ingest, "MIN_SHARE_CHARS", 1)
+        return lambda count: use_cpus(monkeypatch, count)
 
     @staticmethod
     def assert_no_child() -> None:
@@ -324,7 +323,8 @@ class TestForkedParse:
         self.assert_no_child()
         return str(caught.value)
 
-    def test_same_result_for_every_share_count(self, shares, tmp_path):
+    def test_same_result_for_every_share_count(self, shares, forks,
+                                               tmp_path):
         tree = generate_tree(tmp_path, 4, 240) / "src"
         generated = [(str(p), p.read_text())
                      for p in sorted(tree.rglob("*.chd"))]
@@ -332,17 +332,20 @@ class TestForkedParse:
         for sources in (self.corpus(), generated):
             results = []
             for count in (1, 2, 3):
-                forks = shares(count)
+                shares(count)
                 forks.clear()
                 results.append(parse_corpus(sources))
                 assert len(forks) == count - 1
                 self.assert_no_child()
             assert results[0] == results[1] == results[2]
 
-    def test_small_corpus_forks_nothing(self, shares, monkeypatch):
-        forks = shares(3)
-        monkeypatch.setattr(ingest, "MIN_SHARE_CHARS", 64 * 1024)
-        parse_corpus(self.corpus())
+    def test_small_corpus_forks_nothing(self, forks, monkeypatch):
+        """The golden corpus is under 2 * MIN_SHARE_CHARS: one share."""
+        use_cpus(monkeypatch, 3)
+        sources = self.corpus()
+        assert sum(len(text) for _, text in sources) \
+            < 2 * ingest.MIN_SHARE_CHARS
+        parse_corpus(sources)
         assert forks == []
 
     def test_first_error_in_file_order_wins(self, shares):
