@@ -11,14 +11,14 @@ File formats:
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from itertools import accumulate
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import DepnetError, FormatError, GraphError, ResolveError
+from .errors import FormatError, GraphError, ResolveError
 from .graph import ClassGraph, Partition, build_graph, remove_isolated
+from .workers import fork_map, usable_cpus
 
 if TYPE_CHECKING:
     from .headers import ClassDecl
@@ -128,45 +128,6 @@ def resolve_dependencies(
     return class_fqns, dependencies
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where the platform cannot
-    tell (`os.sched_getaffinity` is absent on macOS)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
-def _parse_share(share: Sequence[tuple[str, str]]) -> list[ClassDecl]:
-    # Imported here: an edge file is loaded without the header parser.
-    from .headers import parse_class_headers
-
-    decls: list[ClassDecl] = []
-    for filename, text in share:
-        decls.extend(parse_class_headers(text, filename))
-    return decls
-
-
-def _parse_in_child(share: Sequence[tuple[str, str]],
-                    write_fd: int) -> NoReturn:
-    """In a forked child: write the pickled declarations of `share`, or the
-    exception parsing it raised, to `write_fd`, then leave by `os._exit`,
-    with status 0 only once the whole payload is written. No atexit hook
-    or stdio flush of the parent's runs here."""
-    import pickle  # already loaded by `parse_corpus`
-
-    status = 1
-    try:
-        try:
-            outcome: object = _parse_share(share)
-        except BaseException as exc:
-            outcome = exc
-        view = memoryview(pickle.dumps(outcome))
-        while view:
-            view = view[os.write(write_fd, view):]
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def parse_corpus(
     sources: Iterable[tuple[str, str]],
     opts: ResolveOptions = ResolveOptions(),
@@ -175,23 +136,13 @@ def parse_corpus(
 
     The sources are split into contiguous shares of about equal text
     length, min(usable CPUs, files, total characters // MIN_SHARE_CHARS)
-    of them and at least one. This process forks one child per share after
-    the first, each with a pipe, parses the first share itself, then reads
-    each child's pickled declarations in share order; so the merged table,
-    and what is resolved from it, is the same for any share count. With
-    one share nothing forks.
-
-    The first error in file order is raised, as parsing the files in turn
-    would raise it: this process's own share first, then each child's in
-    share order. A child that ends without sending its whole result raises
-    DepnetError. Every child is reaped before this returns or raises; on
-    an error, including KeyboardInterrupt, those not yet read are killed
-    first. Children are forked, which is safe only while this process runs
-    no other thread; the CLI runs none.
+    of them and at least one, parsed by `fork_map` on as many processes,
+    this one parsing a share itself with nothing to pickle. Merged in share
+    order, the table is the same for any share count, and the first error
+    in share order is raised, as parsing the files in turn would raise it.
     """
-    # Imported here: a command that reads an edge file loads neither.
-    import pickle
-    import signal
+    # Imported here: an edge file is loaded without the header parser.
+    from .headers import parse_class_headers
 
     sources = list(sources)
     ends = list(accumulate(len(text) for _, text in sources))
@@ -204,43 +155,16 @@ def parse_corpus(
         cut = bisect_left(ends, total * k / count) + 1
         cuts.append(min(max(cut, cuts[-1] + 1), len(sources) - (count - k)))
     cuts.append(len(sources))
-    shares = [sources[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    children: list[tuple[int, IO[bytes]]] = []  # in share order
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _parse_in_child(share, write_fd)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        decls = _parse_share(shares[0])
-        while children:
-            pid, stream = children[0]
-            with stream:
-                payload = stream.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            if status != 0:
-                raise DepnetError("a worker process died in mid-run")
-            outcome = pickle.loads(payload)
-            if isinstance(outcome, BaseException):
-                raise outcome
-            decls.extend(outcome)
-    finally:
-        for pid, stream in children:
-            stream.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass  # reaped already
+    def parse_share(k: int) -> list[ClassDecl]:
+        return [decl for filename, text in sources[cuts[k]:cuts[k + 1]]
+                for decl in parse_class_headers(text, filename)]
+
+    decls: list[ClassDecl] = []
+    for outcome in fork_map(parse_share, count, count):
+        if isinstance(outcome, Exception):
+            raise outcome
+        decls.extend(outcome)
     return resolve_dependencies(decls, opts)
 
 

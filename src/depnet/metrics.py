@@ -9,10 +9,11 @@ from collections import Counter
 from typing import Sequence
 
 from . import detect
-from .errors import DepnetError, GraphError, SizeCapError
+from .errors import GraphError, SizeCapError
 from .graph import (ClassGraph, Label, Partition, check_cover,
                     component_labels, modularity_numerator)
-from .ingest import package_partition, usable_cpus
+from .ingest import package_partition
+from .workers import fork_map, usable_cpus
 
 SIGNIFICANT_Q = 0.30  # conventional threshold for meaningful community structure
 
@@ -174,19 +175,11 @@ def fit_power_law(sizes, xmin: int = 1) -> float | None:
     return alpha
 
 
-# The graph and reference partition of the running `run_batch` call. Set
-# before its workers fork, so that they inherit both instead of receiving
-# them pickled with every task; None between calls.
-_batch_input: tuple[ClassGraph, Partition] | None = None
-
-
-def _run_task(task: tuple[str, int]) -> tuple[object, list[tuple]]:
-    """One seeded detection of the running batch: its (Q, NMI, partition),
-    or the exception it raised (a SizeCapError for a graph past the
-    detector's size cap), with the (message, category, filename, lineno) of
-    each warning it raised."""
-    algorithm, seed = task
-    graph, reference = _batch_input
+def _run_task(graph: ClassGraph, reference: Partition, algorithm: str,
+              seed: int) -> tuple[object, list[tuple]]:
+    """One seeded detection: its (Q, NMI, partition), or the exception it
+    raised (a SizeCapError for a graph past the detector's size cap), with
+    the (message, category, filename, lineno) of each warning it raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -246,17 +239,11 @@ def run_batch(
     run's partition; a detector that refuses the graph's size gets the
     record ``{"skipped": reason}`` and no partition instead.
 
-    The runs of all the algorithms form one task list, in the order named.
-    They execute on min(runs, tasks, usable CPUs) workers forked from this
-    process, or in this process when that is 1; results are gathered in
-    task order, so the records do not depend on the worker count. Warnings
-    the runs raise are re-emitted here in task order. The first exception
-    a run raised, other than a SizeCapError, is raised here once every run
-    has ended, so that no worker is stopped in mid-run; a worker that dies
-    ends the batch with a DepnetError. Workers are forked, which is safe
-    only while this process runs no other thread; the CLI runs none.
+    The runs form one task list, in the order named, run by `fork_map` on
+    min(runs, tasks, usable CPUs) processes. Whatever their count, the
+    records, the re-emitted warnings of the runs and the first exception
+    other than a SizeCapError (raised once every run has ended) follow it.
     """
-    global _batch_input
     if runs < 1:
         raise GraphError("runs must be >= 1")
     for algorithm in algorithms:
@@ -266,44 +253,20 @@ def run_batch(
     tasks = [(algorithm, seed) for algorithm in outcomes
              for seed in ([base_seed] if algorithm == "eb"
                           else range(base_seed, base_seed + runs))]
-    workers = min(runs, len(tasks), usable_cpus())
-    warned: list[tuple] = []
-
-    def gather(results) -> None:
-        for (algorithm, _), (outcome, caught) in zip(tasks, results):
-            outcomes[algorithm].append(outcome)
-            warned.extend(caught)
-
-    _batch_input = (graph, reference)
-    try:
-        if workers <= 1:
-            gather(map(_run_task, tasks))
-        else:
-            # Imported here: start-up pays for them only when workers run.
-            import multiprocessing
-            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-            fork = multiprocessing.get_context("fork")
-            try:
-                # The executor forks every worker before it starts its thread.
-                # map's chunks of one task keep EB's long run from holding
-                # back a seeded run.
-                with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-                    gather(pool.map(_run_task, tasks))
-            except BrokenExecutor:
-                raise DepnetError("a worker process died in mid-run") from None
-    finally:
-        _batch_input = None
-        # Re-emitted as if raised in depnet.detect, where the LP cap warns,
-        # and only once no run's catch_warnings can reset the registry that
-        # lets the default filter print a repeated warning once.
-        registry = vars(detect).setdefault("__warningregistry__", {})
-        for message, category, filename, lineno in warned:
-            warnings.warn_explicit(message, category, filename, lineno,
-                                   module=detect.__name__, registry=registry)
-    for results in outcomes.values():
-        for outcome in results:
-            if isinstance(outcome, Exception) \
-                    and not isinstance(outcome, SizeCapError):
-                raise outcome
+    ran = fork_map(lambda k: _run_task(graph, reference, *tasks[k]),
+                   len(tasks), min(runs, usable_cpus()))
+    # Re-emitted as if raised in depnet.detect, where the LP cap warns, and
+    # only now that no run's catch_warnings can reset the registry that lets
+    # the default filter print a repeated warning once.
+    registry = vars(detect).setdefault("__warningregistry__", {})
+    for (algorithm, _), (outcome, caught) in zip(tasks, ran):
+        outcomes[algorithm].append(outcome)
+        for warning in caught:
+            warnings.warn_explicit(*warning, module=detect.__name__,
+                                   registry=registry)
+    for outcome, _ in ran:
+        if isinstance(outcome, Exception) \
+                and not isinstance(outcome, SizeCapError):
+            raise outcome
     return {algorithm: _batch_record(algorithm, results)
             for algorithm, results in outcomes.items()}

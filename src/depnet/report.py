@@ -112,10 +112,10 @@ def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
     with the settings `runs`, `eb_runs`, `seed`, `xmin` and `package_depth`
     read from `config`, which the report records.
 
-    EB's one run and the seeded MO and LP runs go to one `run_batch` call,
-    so on more than one usable CPU they share its forked workers; the
-    report's bytes do not depend on how many there are. A detector that
-    refuses the graph's size is recorded as ``{"skipped": reason}``."""
+    EB's one run and the seeded MO and LP runs share one `run_batch` call,
+    and so its processes (see `fork_map`), which leave the bytes unchanged.
+    A detector that refuses the graph's size is recorded as ``{"skipped":
+    reason}``."""
     # Imported here: OpenSSL's _hashlib is slow to load and only this uses it.
     import hashlib
 

@@ -1,5 +1,4 @@
 import importlib.util
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ DATA_DIR = Path(__file__).parent / "data"
 CORPUS_DIR = DATA_DIR / "corpus"
 GOLDEN_EDGES = DATA_DIR / "corpus_golden_edges.tsv"
 PERFBENCH_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-_GET_CONTEXT = multiprocessing.get_context
+_FORK = os.fork
 
 
 def graph_from_pairs(pairs, n=None):
@@ -59,18 +58,21 @@ def generate_tree(out_dir: Path, seed: int, classes: int) -> Path:
 
 def use_cpus(monkeypatch, count: int) -> list:
     """Make `count` CPUs usable, as `os.sched_getaffinity` reports them, so
-    that seeded runs use that many workers. Returns the list to which each
-    pool created from then on appends its start method."""
+    that parse shares and seeded runs use that many processes. Returns the
+    list to which each `os.fork` from then on appends the forked child's
+    pid."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(count)), raising=False)
-    methods: list = []
+    forks: list = []
 
-    def spy(method=None):
-        methods.append(method)
-        return _GET_CONTEXT(method)
+    def fork():
+        pid = _FORK()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    return methods
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 @pytest.fixture

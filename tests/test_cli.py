@@ -541,9 +541,9 @@ def test_malformed_input_exits_zero_or_two(tmp_path_factory, files):
 
 def test_cli_import_skips_xml_and_network_modules(tmp_path):
     """Start-up stays lean: it loads no third-party module and no json;
-    hashlib (report digest only) loads OpenSSL; multiprocessing is needed
-    only when seeded runs fork workers, and never to fork the children that
-    parse a share of the sources. GraphML export escapes without
+    hashlib (report digest only) loads OpenSSL; pickle is loaded only when
+    parse shares or seeded runs fork, and never multiprocessing or
+    concurrent.futures. GraphML export escapes without
     xml.sax.saxutils, which pulls in urllib.request and http.client.
     Of depnet itself, start-up loads only the CLI, and each command only the
     layers it runs: extraction no detector, metric, report or abstraction,
@@ -579,7 +579,15 @@ def test_cli_import_skips_xml_and_network_modules(tmp_path):
         ["report", "edges.tsv", "--runs", "1", "--out", "report.json"]))
     assert "depnet.report" in report
     assert report & {"depnet.headers", "depnet.abstract", "dataclasses",
-                     "inspect"} == set()
+                     "inspect", "pickle"} == set()
+    # Seeded runs on two CPUs, so that they fork a child.
+    for args in (["report", str(CORPUS_DIR), "--out", "corpus.json"],
+                 ["detect", "edges.tsv", "--algo", "lp", "--runs", "4",
+                  "--out", "lp.tsv"]):
+        forked = loaded("import os; os.sched_getaffinity = lambda pid: {0, 1}; "
+                        + run.format(args))
+        assert "pickle" in forked
+        assert forked & {"multiprocessing", "concurrent.futures"} == set()
     graphml = loaded(run.format(
         ["detect", "edges.tsv", "--algo", "lp", "--runs", "1",
          "--out", "part.tsv"]) + "; " + run.format(

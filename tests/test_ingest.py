@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -294,16 +295,9 @@ class TestForkedParse:
     BROKEN = "class {"  # ParseError: expected identifier, found '{'
 
     @pytest.fixture
-    def forks(self, monkeypatch) -> list:
-        """Gets one item per call of os.fork."""
-        forks: list = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        return forks
-
-    @pytest.fixture
     def shares(self, monkeypatch):
-        """Sets the share count to min(count, files)."""
+        """Sets the share count to min(count, files); returns the list of
+        the children forked from then on (see `use_cpus`)."""
         monkeypatch.setattr(ingest, "MIN_SHARE_CHARS", 1)
         return lambda count: use_cpus(monkeypatch, count)
 
@@ -323,8 +317,7 @@ class TestForkedParse:
         self.assert_no_child()
         return str(caught.value)
 
-    def test_same_result_for_every_share_count(self, shares, forks,
-                                               tmp_path):
+    def test_same_result_for_every_share_count(self, shares, tmp_path):
         tree = generate_tree(tmp_path, 4, 240) / "src"
         generated = [(str(p), p.read_text())
                      for p in sorted(tree.rglob("*.chd"))]
@@ -332,16 +325,15 @@ class TestForkedParse:
         for sources in (self.corpus(), generated):
             results = []
             for count in (1, 2, 3):
-                shares(count)
-                forks.clear()
+                forks = shares(count)
                 results.append(parse_corpus(sources))
                 assert len(forks) == count - 1
                 self.assert_no_child()
             assert results[0] == results[1] == results[2]
 
-    def test_small_corpus_forks_nothing(self, forks, monkeypatch):
+    def test_small_corpus_forks_nothing(self, monkeypatch):
         """The golden corpus is under 2 * MIN_SHARE_CHARS: one share."""
-        use_cpus(monkeypatch, 3)
+        forks = use_cpus(monkeypatch, 3)
         sources = self.corpus()
         assert sum(len(text) for _, text in sources) \
             < 2 * ingest.MIN_SHARE_CHARS
@@ -371,36 +363,39 @@ class TestForkedParse:
             assert [self.parse_error(s) for s in cases] == expected
 
     def test_child_that_dies_raises(self, shares, monkeypatch):
-        sources = self.corpus()
         parse = headers.parse_class_headers
+        own = os.getpid()
 
-        def die_on_last(text, filename=None):
-            if filename == sources[-1][0]:
+        def die_in_child(text, filename=None):
+            if os.getpid() != own:
                 os._exit(3)
             return parse(text, filename)
 
-        monkeypatch.setattr(headers, "parse_class_headers", die_on_last)
+        monkeypatch.setattr(headers, "parse_class_headers", die_in_child)
         shares(2)
         with pytest.raises(DepnetError,
                            match="a worker process died in mid-run"):
-            parse_corpus(sources)
+            parse_corpus(self.corpus())
         self.assert_no_child()
 
     def test_interrupt_in_own_share_stops_every_child(self, shares,
                                                       monkeypatch):
-        sources = self.corpus()
+        """Slowed, both children are still busy when this process takes
+        the third share, whose first file interrupts it."""
         parse = headers.parse_class_headers
+        own = os.getpid()
 
-        def interrupt_on_first(text, filename=None):
-            if filename == sources[0][0]:
+        def interrupt_in_own(text, filename=None):
+            if os.getpid() == own:
                 raise KeyboardInterrupt
+            time.sleep(0.1)
             return parse(text, filename)
 
-        monkeypatch.setattr(headers, "parse_class_headers",
-                            interrupt_on_first)
-        shares(3)
+        monkeypatch.setattr(headers, "parse_class_headers", interrupt_in_own)
+        forks = shares(3)
         with pytest.raises(KeyboardInterrupt):
-            parse_corpus(sources)
+            parse_corpus(self.corpus())
+        assert len(forks) == 2
         self.assert_no_child()
 
     def test_forked_extract_runs_clean_in_dev_mode(self, tmp_path):

@@ -1,5 +1,4 @@
 import json
-import multiprocessing.process
 import os
 import pickle
 import random
@@ -394,11 +393,11 @@ class TestRunBatchWorkers:
             expected += [(w.category, str(w.message), w.filename, w.lineno)
                          for w in caught]
         assert len(expected) == 6
-        for count, pools in ((1, []), (2, ["fork", "fork"])):
-            methods = use_cpus(monkeypatch, count)
+        for count, forked in ((1, 0), (2, 2)):
+            forks = use_cpus(monkeypatch, count)
             assert self.cap_hits(path, ("mo", "lp"), 6) == expected
             assert self.cap_hits(path, ("lp",), 6) == expected
-            assert methods == pools
+            assert len(forks) == forked
 
     def test_cap_warning_printed_once_as_in_one_process(self, tmp_path):
         """Under the default filter a repeated warning prints once, at
@@ -432,19 +431,18 @@ class TestRunBatchWorkers:
             return real(graph, seed)
 
         monkeypatch.setattr(detect, "detect_lp", failing)
-        for count, pools in ((1, []), (2, ["fork"])):
-            methods = use_cpus(monkeypatch, count)
+        for count, forked in ((1, 0), (2, 1)):
+            forks = use_cpus(monkeypatch, count)
             with pytest.raises(GraphError) as info:
                 run_batch(two_triangles, ("mo", "lp"), 4, 0, (0,) * 6)
             assert type(info.value) is GraphError
             assert str(info.value) == "no labels for seed 2"
-            assert methods == pools
+            assert len(forks) == forked
 
     def test_every_run_ends_before_an_error_propagates(
             self, monkeypatch, two_triangles, tmp_path):
-        """Terminating the pool while a worker sends its result can leave
-        the result queue's lock held, and the pool then hangs; so a failed
-        run lets the others finish first."""
+        """A failed run lets the others finish first: none is stopped in
+        mid-run."""
         real = detect.detect_lp
 
         def failing(graph, seed):
@@ -501,32 +499,36 @@ class TestRunBatchWorkers:
         """Every worker has exited, with status 0, when the batch returns,
         after a batch that succeeds and after one whose runs fail: none is
         killed, and none is left running."""
-        real_start = multiprocessing.process.BaseProcess.start
-        workers: list = []
+        real_waitpid = os.waitpid
+        statuses: dict = {}
 
-        def start(process):
-            workers.append(process)
-            real_start(process)
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            statuses[reaped[0]] = reaped[1]
+            return reaped
 
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                            start)
-        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        forks = use_cpus(monkeypatch, 2)
         run_batch(two_triangles, ("mo", "lp"), 4, 0, (0,) * 6)
         with pytest.raises(GraphError, match="no edges"):
             run_batch(build_graph(["a", "b"], []), ("lp",), 4, 0, (0, 0))
-        assert [worker.exitcode for worker in workers] == [0] * 4
+        assert len(forks) == 2
+        assert statuses == {pid: 0 for pid in forks}
+        with pytest.raises(ChildProcessError):
+            real_waitpid(-1, os.WNOHANG)
 
     def test_a_dead_worker_ends_the_command_with_an_error(self, tmp_path):
         """A worker killed in mid-batch ends `detect` with exit 2 and one
-        error line, and leaves no process running."""
+        error line, and leaves no process running. The worker kills itself
+        on its first run, seed 0; the command's own process runs the rest."""
         network = path_network(tmp_path)
         script = (
             "import os, signal, sys; from depnet import detect; "
             "from depnet.cli import main; "
             "os.sched_getaffinity = lambda pid: {0, 1}; "
-            "real = detect.detect_lp\n"
+            "real = detect.detect_lp; own = os.getpid()\n"
             "def detect_lp(graph, seed):\n"
-            "    if seed == 3: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    if os.getpid() != own: os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return real(graph, seed)\n"
             "detect.detect_lp = detect_lp; sys.exit(main(sys.argv[1:]))")
         src = Path(__file__).resolve().parents[1] / "src"
