@@ -12,7 +12,6 @@ this module, and `report` on an edge file never loads the header parser.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from pathlib import Path
@@ -50,13 +49,13 @@ def _collect_sources(inputs: Sequence[str]) -> list[tuple[str, str]]:
 def _load_graph(network: str) -> ClassGraph:
     from .ingest import load_edge_list, read_text
 
-    return load_edge_list(io.StringIO(read_text(network)))
+    return load_edge_list(read_text(network))
 
 
 def _load_partition(path: str, graph: ClassGraph) -> Partition:
     from .ingest import load_partition, read_text
 
-    return load_partition(io.StringIO(read_text(path)), graph)
+    return load_partition(read_text(path), graph)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -89,8 +88,7 @@ def cmd_extract(inputs, out, keep_external, type_args, package_depth):
     packages = package_partition(graph, package_depth)
     if graph.n_nodes == 0:
         sys.stderr.write("warning: all nodes isolated; wrote an empty edge file\n")
-    with open(out, "w", encoding="utf-8") as stream:
-        write_edge_list(deps, stream)
+    _emit(write_edge_list(deps), out)
     sys.stdout.write(f"nodes={graph.n_nodes} edges={graph.m} "
                      f"packages={len(set(packages))}\n")
 
@@ -108,8 +106,7 @@ def cmd_detect(network, algo, runs, seed, package_depth, out):
     if best is None:
         raise SizeCapError(record["skipped"])
     if out:
-        with open(out, "w", encoding="utf-8") as stream:
-            write_partition(best, graph, stream)
+        _emit(write_partition(best, graph), out)
     sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
@@ -164,8 +161,7 @@ def cmd_refine(network, seed, package_depth, out):
     packages, packages_plus, _ = package_analysis(graph, package_depth)
     refined = refine_packages(graph, packages_plus, seed)
     if out:
-        with open(out, "w", encoding="utf-8") as stream:
-            write_partition(refined, graph, stream)
+        _emit(write_partition(refined, graph), out)
     doc = {
         "q_packages": modularity(graph, packages),
         "q_packages_plus": modularity(graph, packages_plus),

@@ -1,4 +1,4 @@
-"""Resolution of parsed headers into dependency tuples, plus interchange I/O.
+"""Resolution of parsed headers into dependencies, and the interchange texts.
 
 A dependency is a (source fqn, target fqn, kind) tuple, its kind one of the
 tokens in KINDS. Only this module knows the kinds: a graph keeps none.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import FormatError, GraphError, ResolveError
 from .graph import ClassGraph, Partition, build_graph, remove_isolated
@@ -124,8 +124,9 @@ def resolve_dependencies(
                         externals.setdefault(target, None)
                     dependencies.append((decl.fqn, target, kind))
 
-    class_fqns = sorted(by_fqn) + sorted(externals)
-    return class_fqns, dependencies
+    # One sorted order over classes and externals alike, the order in which
+    # `load_edge_list` reads the same nodes back.
+    return sorted({**by_fqn, **externals}), dependencies
 
 
 def parse_corpus(
@@ -169,18 +170,20 @@ def parse_corpus(
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 input file; FormatError names a file that is
-    not UTF-8."""
+    """The text of a UTF-8 input file, each CRLF and lone CR line end made
+    LF as a text-mode read makes them; FormatError names a file that is not
+    UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                           f"{exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def load_edge_list(stream: IO[str]) -> ClassGraph:
-    """Read the edge TSV format and build the multigraph."""
-    header = stream.readline().rstrip("\n")
+def load_edge_list(text: str) -> ClassGraph:
+    """Build the multigraph of an edge TSV file's text."""
+    header, _, body = text.partition("\n")
     if not header.startswith(EDGE_HEADER_PREFIX):
         raise FormatError(f"bad edge-file header: {header!r}")
     isolated = header[len(EDGE_HEADER_PREFIX):]
@@ -188,8 +191,7 @@ def load_edge_list(stream: IO[str]) -> ClassGraph:
         raise FormatError(f"bad isolated flag {isolated!r} in edge-file header")
     fqns: dict[str, None] = {}
     raw_edges: list[Dependency] = []
-    for lineno, line in enumerate(stream, start=2):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(body.split("\n"), start=2):
         if not line:
             continue
         parts = line.split("\t")
@@ -211,14 +213,12 @@ def load_edge_list(stream: IO[str]) -> ClassGraph:
     return graph
 
 
-def write_edge_list(dependencies: Iterable[Dependency],
-                    stream: IO[str]) -> None:
-    """Write the edge TSV format with isolated=drop, the only flag a file of
-    edges can honour: a line per dependency, its two fqns in order, and
-    none for a self-reference, which `build_graph` drops too; lines sorted
-    for byte-stable output."""
-    stream.write(f"{EDGE_HEADER_PREFIX}drop\n")
-    stream.writelines(sorted(
+def write_edge_list(dependencies: Iterable[Dependency]) -> str:
+    """The edge TSV text, with isolated=drop, the only flag a file of edges
+    can honour: a line per dependency, its two fqns in order, and none for
+    a self-reference, which `build_graph` drops too; lines sorted for
+    byte-stable output."""
+    return f"{EDGE_HEADER_PREFIX}drop\n" + "".join(sorted(
         f"{min(src, dst)}\t{max(src, dst)}\t{kind}\n"
         for src, dst, kind in dependencies if src != dst))
 
@@ -235,16 +235,15 @@ def package_partition(graph: ClassGraph, depth: int | None = None) -> Partition:
     return tuple(labels)
 
 
-def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
-    """Read a partition TSV against a graph's fqn table.
+def load_partition(text: str, graph: ClassGraph) -> Partition:
+    """Read a partition TSV file's text against a graph's fqn table.
 
     Every fqn must be a node of the graph and appear on exactly one line.
     """
     labels: list[str | None] = [None] * graph.n_nodes
     index = {fqn: i for i, fqn in enumerate(graph.fqns)}
     first_line: dict[int, int] = {}
-    for lineno, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
         parts = line.split("\t")
@@ -268,7 +267,7 @@ def load_partition(stream: IO[str], graph: ClassGraph) -> Partition:
     return tuple(labels)
 
 
-def write_partition(partition: Partition, graph: ClassGraph, stream: IO[str]) -> None:
-    """Write a partition TSV sorted by fqn."""
-    for fqn, label in sorted(zip(graph.fqns, map(str, partition))):
-        stream.write(f"{fqn}\t{label}\n")
+def write_partition(partition: Partition, graph: ClassGraph) -> str:
+    """The partition TSV text, sorted by fqn."""
+    rows = sorted(zip(graph.fqns, map(str, partition)))
+    return "".join(f"{fqn}\t{label}\n" for fqn, label in rows)

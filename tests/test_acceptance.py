@@ -5,11 +5,11 @@ status lines. Criterion 11 is conditional on user-supplied network data
 (DEPNET_REFERENCE_EDGES) and is skipped otherwise.
 """
 
-import io
 import json
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -162,9 +162,7 @@ def test_criterion_8_parser_golden_corpus():
     assert len(files) >= 20
     fqns, deps = parse_corpus((p.name, p.read_text()) for p in files)
     g = remove_isolated(build_graph(fqns, deps))
-    buf = io.StringIO()
-    write_edge_list(deps, buf)
-    assert buf.getvalue() == GOLDEN_EDGES.read_text()
+    assert write_edge_list(deps) == GOLDEN_EDGES.read_text()
     report(8, f"{len(files)} files, {g.m} edges match the golden multiset")
 
 
@@ -205,8 +203,7 @@ def test_criterion_11_reference_network_cross_check():
     if not path:
         pytest.skip("set DEPNET_REFERENCE_EDGES to a reconstructed edge list "
                     "to enable the published-network cross-check")
-    with open(path, encoding="utf-8") as stream:
-        graph = load_edge_list(stream)
+    graph = load_edge_list(Path(path).read_text(encoding="utf-8"))
     reference = package_partition(graph)
     summary = {}
     for algo in ("mo", "lp"):

@@ -51,6 +51,16 @@ class TestExtract:
         assert code == 2
         assert "no input classes" in capsys.readouterr().err
 
+    def test_class_declared_in_two_files_is_two(self, run_cli, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "A.chd").write_text("package p; class A {}")
+        (src / "B.chd").write_text("package p; class A { int x; }")
+        out = tmp_path / "edges.tsv"
+        assert run_cli(["extract", str(src), "--out", str(out)]) == (
+            2, "", "error: duplicate class 'p.A'\n")
+        assert not out.exists()
+
     def test_dependency_free_corpus_warns(self, run_cli, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
@@ -244,6 +254,29 @@ class TestReport:
             assert code == 0, stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("seed, extra", [
+        (42, []), *((seed, ["--type-args"]) for seed in range(1, 6))])
+    def test_directory_and_its_edge_file_agree(self, run_cli, tmp_path, seed,
+                                               extra):
+        """With --keep-external, a report on a source directory and one on
+        the edge file extracted from it analyse the same graph, its nodes in
+        the same order; externals used to be numbered after every class
+        from sources only, and the LP values of the two reports differed."""
+        edges = tmp_path / "edges.tsv"
+        flags = ["--keep-external", *extra]
+        code, _, stderr = run_cli(["extract", str(CORPUS_DIR), *flags,
+                                   "--out", str(edges)])
+        assert code == 0, stderr
+        docs = []
+        for source in (CORPUS_DIR, edges):
+            code, stdout, stderr = run_cli(["report", str(source), "--runs",
+                                            "20", "--seed", str(seed), *flags])
+            assert code == 0, stderr
+            docs.append(json.loads(stdout))
+        for key in ("algorithms", "packages", "network",
+                    "size_distributions"):
+            assert docs[0][key] == docs[1][key], key
 
 
 class TestExitCodes:

@@ -565,8 +565,8 @@ class TestLPMatchesReference:
     @pytest.fixture(scope="class")
     def generated_2000(self, tmp_path_factory):
         out = generate_tree(tmp_path_factory.mktemp("gen"), 1, 2000)
-        with open(out / "expected_edges.tsv", encoding="utf-8") as stream:
-            return load_edge_list(stream)
+        return load_edge_list(
+            (out / "expected_edges.tsv").read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_generated_2000_classes(self, generated_2000, seed):

@@ -1,4 +1,3 @@
-import io
 import random
 from collections import Counter
 
@@ -82,9 +81,7 @@ def test_relabel_dense():
 
 def test_partition_producers_return_tuples(two_triangles):
     packages = package_partition(two_triangles)
-    stream = io.StringIO()
-    write_partition(packages, two_triangles, stream)
-    stream.seek(0)
+    stored = write_partition(packages, two_triangles)
     produced = [
         relabel_dense(["a", "b", "a"]),
         detect_eb(two_triangles)[0],
@@ -93,7 +90,7 @@ def test_partition_producers_return_tuples(two_triangles):
         refine_packages(two_triangles, packages, 0),
         run_batch(two_triangles, ("mo",), 2, 0, packages)["mo"][1],
         packages,
-        load_partition(stream, two_triangles),
+        load_partition(stored, two_triangles),
         split_disconnected(two_triangles, packages),
     ]
     assert [type(p) for p in produced] == [tuple] * len(produced)
@@ -194,7 +191,7 @@ def test_neighbour_maps_are_exact_dicts(two_triangles):
         (built, first_seen(pairs, range(24))),
         (trimmed, first_seen(pairs, nodes)),
         (induced_subgraph(built, inner), first_seen(pairs, inner)),
-        (load_edge_list(io.StringIO(edges_tsv)), first_seen(pairs, nodes)),
+        (load_edge_list(edges_tsv), first_seen(pairs, nodes)),
         (ClassGraph(["A", "B"], [Counter({1: 2}), Counter({0: 2})]),
          [[1], [0]]),
         (two_triangles, [[1, 2], [0, 2], [0, 1, 3], [2, 4, 5], [3, 5], [3, 4]]),

@@ -181,6 +181,19 @@ def test_type_parameter_bounds_are_not_checked():
     assert decls[1].return_types == []
 
 
+def test_intersection_bounds_are_parsed_and_discarded():
+    """Each bound after `&` is parsed and thrown away like the first; the
+    type variable is then in scope, and the other references are kept."""
+    cls, method = parse_class_headers(
+        "class A<T extends B & C> { T f; D g; }"
+        " class E { <T extends B & java.util.List<C>> void f(T t); D h(); }")
+    assert cls.type_params == {"T"}
+    assert refs(cls.field_types) == ["D"]
+    assert method.type_params == set()
+    assert refs(method.param_types) == []
+    assert refs(method.return_types) == ["D"]
+
+
 def test_arrays_decay():
     decl = parse_class_headers("class A { Baz[] items; Baz[][] grid; }")[0]
     assert refs(decl.field_types) == ["Baz", "Baz"]

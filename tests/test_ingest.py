@@ -1,4 +1,3 @@
-import io
 import os
 import subprocess
 import sys
@@ -97,6 +96,21 @@ class TestResolve:
         assert fqns == ["Foo", "List"]
         assert deps == [("Foo", "List", F)]
 
+    def test_externals_sorted_among_classes(self):
+        """Classes and externals share one sorted order, the order in which
+        `load_edge_list` lists the same nodes; externals used to follow every
+        class, so a graph built from sources was numbered differently from
+        one loaded from its edge file."""
+        decls = decls_of("package p; class Foo { a.List f; }")
+        fqns, _ = resolve_dependencies(
+            decls, ResolveOptions(keep_external=True))
+        assert fqns == ["a.List", "p.Foo"]
+
+    def test_class_declared_in_two_files_rejected(self):
+        decls = decls_of("package p; class A {}", "package p; class A { B b; }")
+        with pytest.raises(ResolveError, match="^duplicate class 'p.A'$"):
+            resolve_dependencies(decls)
+
     def test_externals_dropped_by_default(self):
         decls = decls_of("class Foo { List f; }")
         fqns, deps = resolve_dependencies(decls)
@@ -157,22 +171,18 @@ class TestResolve:
 class TestEdgeList:
     def test_round_trip_single_edge(self):
         text = "#depnet-edges v1 isolated=drop\np.A\tp.B\tfield\n"
-        buf = io.StringIO()
-        write_edge_list([("p.B", "p.A", F)], buf)
-        assert buf.getvalue() == text
-        g = load_edge_list(io.StringIO(text))
+        assert write_edge_list([("p.B", "p.A", F)]) == text
+        g = load_edge_list(text)
         assert g.fqns == ("p.A", "p.B")
         assert g.m == 1
 
     def test_isolated_nodes_written_as_drop_and_round_trip(self):
         fqns = ["p.A", "p.B", "p.C", "p.D"]
         deps = [("p.A", "p.C", F), ("p.D", "p.D", R), ("p.C", "p.A", P)]
-        buf = io.StringIO()
-        write_edge_list(deps, buf)
-        text = buf.getvalue()
+        text = write_edge_list(deps)
         assert text == ("#depnet-edges v1 isolated=drop\n"
                         "p.A\tp.C\tfield\np.A\tp.C\tparameter\n")
-        back = load_edge_list(io.StringIO(text))
+        back = load_edge_list(text)
         trimmed = remove_isolated(build_graph(fqns, deps))
         assert back.fqns == trimmed.fqns == ("p.A", "p.C")
         assert back.neighbors(0) == trimmed.neighbors(0) == {1: 2}
@@ -180,27 +190,27 @@ class TestEdgeList:
 
     def test_keep_header_still_read(self):
         text = "#depnet-edges v1 isolated=keep\np.A\tp.B\tfield\n"
-        assert load_edge_list(io.StringIO(text)).fqns == ("p.A", "p.B")
+        assert load_edge_list(text).fqns == ("p.A", "p.B")
 
     def test_duplicate_lines_are_parallel_edges(self):
         text = ("#depnet-edges v1 isolated=drop\n"
                 "p.A\tp.B\tfield\np.A\tp.B\tfield\n")
-        assert load_edge_list(io.StringIO(text)).m == 2
+        assert load_edge_list(text).m == 2
 
     def test_bad_kind_names_line(self):
         text = "#depnet-edges v1 isolated=keep\nA\tB\tbogus\n"
         with pytest.raises(FormatError,
                            match="^line 2: unknown dependency kind 'bogus'$"):
-            load_edge_list(io.StringIO(text))
+            load_edge_list(text)
 
     def test_missing_header_rejected(self):
         with pytest.raises(FormatError, match="header"):
-            load_edge_list(io.StringIO("A\tB\tfield\n"))
+            load_edge_list("A\tB\tfield\n")
 
     def test_malformed_line_rejected(self):
         text = "#depnet-edges v1 isolated=keep\nA\tB\n"
         with pytest.raises(FormatError, match="line 2"):
-            load_edge_list(io.StringIO(text))
+            load_edge_list(text)
 
 
 class TestPackagePartition:
@@ -231,25 +241,23 @@ class TestPackagePartition:
 
 class TestPartitionFile:
     def test_round_trip(self, two_triangles, triangle_partition):
-        buf = io.StringIO()
-        write_partition(triangle_partition, two_triangles, buf)
-        buf.seek(0)
-        loaded = load_partition(buf, two_triangles)
+        text = write_partition(triangle_partition, two_triangles)
+        loaded = load_partition(text, two_triangles)
         assert relabel_dense(loaded) == relabel_dense(triangle_partition)
 
     def test_partial_cover_rejected(self, two_triangles):
         with pytest.raises(FormatError):
-            load_partition(io.StringIO("n0\tx\n"), two_triangles)
+            load_partition("n0\tx\n", two_triangles)
 
     def test_unknown_fqn_rejected(self, two_triangles):
         with pytest.raises(FormatError, match=r"line 2: unknown class 'zzz'"):
-            load_partition(io.StringIO("n0\tx\nzzz\tx\n"), two_triangles)
+            load_partition("n0\tx\nzzz\tx\n", two_triangles)
 
     def test_duplicate_fqn_rejected(self, two_triangles):
         rows = "".join(f"n{i}\tx\n" for i in range(6)) + "\nn3\ty\n"
         with pytest.raises(FormatError,
                            match=r"line 8: duplicate class 'n3' \(first on line 4\)"):
-            load_partition(io.StringIO(rows), two_triangles)
+            load_partition(rows, two_triangles)
 
 
 class TestGoldenCorpus:
@@ -264,9 +272,8 @@ class TestGoldenCorpus:
         assert len(list(CORPUS_DIR.glob("*.chd"))) >= 20
 
     def test_extraction_matches_golden_file(self):
-        buf = io.StringIO()
-        write_edge_list(self.corpus_dependencies()[1], buf)
-        assert buf.getvalue() == GOLDEN_EDGES.read_text()
+        assert (write_edge_list(self.corpus_dependencies()[1])
+                == GOLDEN_EDGES.read_text())
 
     def test_all_kinds_present(self):
         kinds = {k for _, _, k in self.corpus_dependencies()[1]}
@@ -284,6 +291,23 @@ def test_read_text_names_a_file_that_is_not_utf8(tmp_path):
         read_text(path)
     path.write_bytes("class Café {}".encode("utf-8"))
     assert read_text(path) == "class Café {}"
+
+
+@pytest.mark.parametrize("raw", [
+    b"class A {}\r\nclass B {}\r\n",
+    b"class A {}\rclass B {}",
+    b"class A {}\r\r\nclass B {}",
+    b"class A {}\r",
+    b"\xef\xbb\xbfclass A {}\n",
+    b"x" * 8191 + b"\r\n" + b"y" * 8191 + b"\r",
+], ids=["crlf", "lone-cr", "cr-crlf", "trailing-cr", "bom", "cr-at-8k"])
+def test_read_text_equals_a_text_mode_read(tmp_path, raw):
+    """`read_text` decodes the bytes and translates line ends itself, as a
+    text-mode read does: error positions and report digests depend on it."""
+    path = tmp_path / "a.chd"
+    path.write_bytes(raw)
+    with open(path, encoding="utf-8") as stream:
+        assert read_text(path) == stream.read()
 
 
 class TestForkedParse:

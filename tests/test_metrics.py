@@ -156,8 +156,7 @@ class TestSplitDisconnected:
                          "p#1.E\tp.D\tfield\n"
                          "p.A\tp.B\tfield\n"
                          "p.C\tp.D\tfield\n")
-        with open(edges, encoding="utf-8") as stream:
-            g = load_edge_list(stream)
+        g = load_edge_list(edges.read_text(encoding="utf-8"))
         _, packages_plus, _ = package_analysis(g)
         assert dict(zip(g.fqns, packages_plus)) == {
             "p#1.E": "p#1", "p.A": "p#2", "p.B": "p#2", "p.C": "p#3",
@@ -346,8 +345,7 @@ class TestRunBatch:
     def test_mo_q_is_modularity_of_each_run(self, tmp_path):
         """MO's Q comes from its best level, not a recount: the same float."""
         edges = generate_tree(tmp_path, 4, 100) / "expected_edges.tsv"
-        with open(edges, encoding="utf-8") as stream:
-            g = load_edge_list(stream)
+        g = load_edge_list(edges.read_text(encoding="utf-8"))
         record, _ = run_batch(g, ("mo",), 20, 0, package_partition(g))["mo"]
         assert record["q_values"] == [modularity(g, detect_mo(g, seed)[0])
                                       for seed in range(20)]

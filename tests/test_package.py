@@ -1,3 +1,5 @@
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +48,32 @@ def test_import_loads_no_layer():
         capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(src)})
     assert result.stdout.split() == ["depnet"]
+
+
+# A file or in-memory stream read or written, or a stream type named.
+FILE_ACCESS = re.compile(
+    r"\.(?:read|write)_(?:text|bytes)\(|\bStringIO\b|\bIO\b|\bopen\(")
+
+
+def test_only_the_cli_and_read_text_touch_files():
+    """The edge and partition formats map text: files on disk are opened,
+    read and written only in `cli` and `ingest.read_text`, and `workers`
+    opens only the ends of its pipes."""
+    found = []
+    for path in sorted(Path(depnet.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        if path.name == "ingest.py":
+            read_text = next(
+                node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "read_text")
+            for i in range(read_text.lineno - 1, read_text.end_lineno):
+                lines[i] = ""
+        for lineno, line in enumerate(lines, start=1):
+            for match in FILE_ACCESS.finditer(line):
+                if not (path.name == "workers.py" and match[0] == "open("):
+                    found.append(f"{path.name}:{lineno}: {match[0]}")
+    assert found == []
