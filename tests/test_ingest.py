@@ -98,9 +98,7 @@ class TestResolve:
 
     def test_externals_sorted_among_classes(self):
         """Classes and externals share one sorted order, the order in which
-        `load_edge_list` lists the same nodes; externals used to follow every
-        class, so a graph built from sources was numbered differently from
-        one loaded from its edge file."""
+        `load_edge_list` lists the same nodes."""
         decls = decls_of("package p; class Foo { a.List f; }")
         fqns, _ = resolve_dependencies(
             decls, ResolveOptions(keep_external=True))
