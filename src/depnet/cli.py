@@ -4,6 +4,9 @@ Exit status: 0 on success (`--help` included), 1 on a usage error, 2 on a
 data error. A usage error prints one `error:` line and the usage to stderr.
 `DEPNET_SEED`, when set, is the default `--seed`.
 
+Input files are read only by `ingest.read_text` and output files written
+only by `_emit`; an empty `--out` is a usage error.
+
 The command line needs only the standard library. Each command imports the
 layers it runs inside its body, so that start-up loads only argparse and
 this module, and `report` on an edge file never loads the header parser.
@@ -192,16 +195,16 @@ def cmd_report(source, runs, eb_runs, seed, xmin, package_depth,
 
     The source may be an edge TSV file or a directory of .chd header sources.
     """
+    from .ingest import load_edge_list, read_text
     from .report import build_report, dump_report
 
-    path = Path(source)
-    if path.is_dir():
+    if Path(source).is_dir():
         graph, _, sources = _extract_graph((source,), keep_external,
                                            type_args)
-        input_bytes = b"".join(text.encode() for _, text in sources)
+        text = "".join(source_text for _, source_text in sources)
     else:
-        input_bytes = path.read_bytes()
-        graph = _load_graph(source)
+        text = read_text(source)
+        graph = load_edge_list(text)
     config = {
         "source": str(source),
         "runs": runs,
@@ -212,7 +215,15 @@ def cmd_report(source, runs, eb_runs, seed, xmin, package_depth,
         "keep_external": keep_external,
         "type_args": type_args,
     }
-    _emit(dump_report(build_report(graph, config, input_bytes)), out)
+    _emit(dump_report(build_report(graph, config, text.encode())), out)
+
+
+def _out_path(value: str) -> str:
+    """An `--out` value; an empty one, most likely an unset shell variable,
+    is a usage error rather than stdout or no output."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,6 +260,10 @@ def _parser() -> argparse.ArgumentParser:
             text = f"{text or ''} (default: %(default)s)".lstrip()
         sub.add_argument(flag, type=int, default=default, help=text)
 
+    def out_option(sub, text=None, required=False):
+        sub.add_argument("--out", type=_out_path, required=required,
+                         help=text)
+
     def seed_option(sub):
         sub.add_argument("--seed", type=int,
                          default=os.environ.get("DEPNET_SEED") or DEFAULT_SEED,
@@ -256,7 +271,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = command("extract", cmd_extract)
     sub.add_argument("inputs", nargs="+")
-    sub.add_argument("--out", required=True, help="Output edge TSV path.")
+    out_option(sub, "Output edge TSV path.", required=True)
     sub.add_argument("--keep-external", action="store_true",
                      help="Keep unresolved type references as external nodes.")
     sub.add_argument("--type-args", action="store_true",
@@ -272,20 +287,20 @@ def _parser() -> argparse.ArgumentParser:
         "must only be >= 1."))
     seed_option(sub)
     int_option(sub, "--package-depth")
-    sub.add_argument("--out", help="Partition TSV output path.")
+    out_option(sub, "Partition TSV output path.")
 
     sub = command("metrics", cmd_metrics)
     sub.add_argument("network")
     sub.add_argument("partitions", nargs="*")
     int_option(sub, "--xmin", 1)
     int_option(sub, "--package-depth")
-    sub.add_argument("--out")
+    out_option(sub)
 
     sub = command("refine", cmd_refine)
     sub.add_argument("network")
     seed_option(sub)
     int_option(sub, "--package-depth")
-    sub.add_argument("--out", help="Refined partition TSV output path.")
+    out_option(sub, "Refined partition TSV output path.")
 
     sub = command("abstract", cmd_abstract)
     sub.add_argument("network")
@@ -295,7 +310,7 @@ def _parser() -> argparse.ArgumentParser:
     int_option(sub, "--components",
                text="Keep only the K largest connected components.")
     int_option(sub, "--package-depth")
-    sub.add_argument("--out")
+    out_option(sub)
 
     sub = command("report", cmd_report)
     sub.add_argument("source")
@@ -308,7 +323,7 @@ def _parser() -> argparse.ArgumentParser:
     int_option(sub, "--package-depth")
     sub.add_argument("--keep-external", action="store_true")
     sub.add_argument("--type-args", action="store_true")
-    sub.add_argument("--out")
+    out_option(sub)
     return parser
 
 

@@ -170,14 +170,15 @@ def parse_corpus(
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 input file, each CRLF and lone CR line end made
-    LF as a text-mode read makes them; FormatError names a file that is not
-    UTF-8."""
+    """The text of a UTF-8 input file, without one leading byte-order mark
+    and with each CRLF and lone CR line end made LF as a text-mode read
+    makes them; FormatError names a file that is not UTF-8."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                           f"{exc.start})") from None
+    text = text.removeprefix("\ufeff")
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -8,7 +8,6 @@ import warnings
 from collections import Counter
 from typing import Sequence
 
-from . import detect
 from .errors import GraphError, SizeCapError
 from .graph import (ClassGraph, Label, Partition, check_cover,
                     component_labels, modularity_numerator)
@@ -180,6 +179,8 @@ def _run_task(graph: ClassGraph, reference: Partition, algorithm: str,
     """One seeded detection: its (Q, NMI, partition), or the exception it
     raised (a SizeCapError for a graph past the detector's size cap), with
     the (message, category, filename, lineno) of each warning it raised."""
+    from . import detect
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -244,6 +245,8 @@ def run_batch(
     records, the re-emitted warnings of the runs and the first exception
     other than a SizeCapError (raised once every run has ended) follow it.
     """
+    from . import detect
+
     if runs < 1:
         raise GraphError("runs must be >= 1")
     for algorithm in algorithms:

@@ -3,6 +3,11 @@
 Reports are deterministic for a fixed config and input: timestamps are only
 emitted when SOURCE_DATE_EPOCH is set, and the input is identified by a
 content digest instead of wall-clock provenance.
+
+`input_sha256` is the SHA-256 of the UTF-8 text analysed, as `read_text`
+gives it (no leading byte-order mark, LF line ends): an edge file's text, or
+for a directory the texts of its `.chd` files concatenated in path order. So
+a UTF-8 edge file with LF line ends has the digest of its bytes.
 """
 
 from __future__ import annotations
@@ -110,7 +115,8 @@ def _timestamp() -> str | None:
 def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
     """Run the full analysis (package metrics + all detectors) into one dict,
     with the settings `runs`, `eb_runs`, `seed`, `xmin` and `package_depth`
-    read from `config`, which the report records.
+    read from `config`, which the report records. `input_bytes` is the
+    UTF-8 encoding of the text analysed, whose SHA-256 is `input_sha256`.
 
     EB's one run and the seeded MO and LP runs share one `run_batch` call,
     and so its processes (see `fork_map`), which leave the bytes unchanged.

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -60,6 +61,17 @@ class TestExtract:
         assert run_cli(["extract", str(src), "--out", str(out)]) == (
             2, "", "error: duplicate class 'p.A'\n")
         assert not out.exists()
+
+    def test_byte_order_marks_change_nothing(self, run_cli, tmp_path):
+        """Sources saved with a byte-order mark extract as they do without."""
+        src = tmp_path / "src"
+        src.mkdir()
+        for path in CORPUS_DIR.glob("*.chd"):
+            (src / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        out = tmp_path / "edges.tsv"
+        code, _, stderr = run_cli(["extract", str(src), "--out", str(out)])
+        assert code == 0, stderr
+        assert out.read_text() == GOLDEN_EDGES.read_text()
 
     def test_dependency_free_corpus_warns(self, run_cli, tmp_path):
         src = tmp_path / "src"
@@ -278,6 +290,49 @@ class TestReport:
                     "size_distributions"):
             assert docs[0][key] == docs[1][key], key
 
+    def test_edge_file_is_read_once(self, run_cli, network, monkeypatch):
+        """A report on an edge file reads it once, through `read_text`."""
+        from depnet import ingest
+
+        bytes_reads, text_reads = [], []
+        read_bytes, read_text = Path.read_bytes, ingest.read_text
+
+        def spy_read_bytes(path):
+            bytes_reads.append(str(path))
+            return read_bytes(path)
+
+        def spy_read_text(path):
+            text_reads.append(str(path))
+            return read_text(path)
+
+        monkeypatch.setattr(Path, "read_bytes", spy_read_bytes)
+        monkeypatch.setattr(ingest, "read_text", spy_read_text)
+        code, _, stderr = run_cli(["report", network, "--runs", "1"])
+        assert code == 0, stderr
+        assert bytes_reads == text_reads == [network]
+
+    @pytest.mark.parametrize("raw", [
+        NETWORK_TEXT.replace("\n", "\r\n").encode(),
+        b"\xef\xbb\xbf" + NETWORK_TEXT.encode(),
+    ], ids=["crlf", "bom"])
+    def test_digest_is_of_the_text_analysed(self, run_cli, network, tmp_path,
+                                            raw):
+        """`input_sha256` is the SHA-256 of the text analysed: for an edge
+        file with LF line ends that of its bytes, and a copy with CRLF line
+        ends or a byte-order mark has the same digest and the same graph."""
+        copy = tmp_path / "copy.tsv"
+        copy.write_bytes(raw)
+        docs = []
+        for source in (network, copy):
+            code, stdout, stderr = run_cli(["report", str(source), "--runs",
+                                            "5"])
+            assert code == 0, stderr
+            docs.append(json.loads(stdout))
+        assert docs[0]["input_sha256"] == hashlib.sha256(
+            Path(network).read_bytes()).hexdigest()
+        for key in ("input_sha256", "network", "algorithms"):
+            assert docs[0][key] == docs[1][key], key
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):
@@ -292,20 +347,32 @@ class TestExitCodes:
         (["detect", "{net}", "--alg", "lp"], None),
         (["extract", "--out", "{out}"], None),
         (["detect", "{net}", "--algo", "lp", "--runs", "1"], "abc"),
+        (["extract", str(CORPUS_DIR), "--out", ""], None),
+        (["detect", "{net}", "--algo", "lp", "--runs", "1", "--out", ""],
+         None),
+        (["metrics", "{net}", "--out", ""], None),
+        (["refine", "{net}", "--out", ""], None),
+        (["abstract", "{net}", "{part}", "--out", ""], None),
+        (["report", "{net}", "--runs", "1", "--out", ""], None),
     ], ids=["no-arguments", "unknown-command", "missing-algo", "bad-algo",
             "bad-runs", "abbreviated-option", "extract-no-inputs",
-            "bad-env-seed"])
+            "bad-env-seed", "extract-empty-out", "detect-empty-out",
+            "metrics-empty-out", "refine-empty-out", "abstract-empty-out",
+            "report-empty-out"])
     def test_usage_error_contract(self, run_cli, network, tmp_path,
                                   monkeypatch, args, seed):
         """Every usage error exits 1 with an `error:` message on stderr and
-        nothing on stdout; the wording is not part of the contract."""
+        nothing on stdout; the wording is not part of the contract. An empty
+        `--out` is one, in every command."""
         if seed is not None:
             monkeypatch.setenv("DEPNET_SEED", seed)
         out = tmp_path / "out.tsv"
+        part = tmp_path / "part.tsv"
+        part.write_text(PARTITION_TEXT)
         code, stdout, stderr = run_cli(
-            [a.format(net=network, out=out) for a in args])
+            [a.format(net=network, out=out, part=part) for a in args])
         assert (code, stdout) == (1, "")
-        assert stderr.startswith("error:")
+        assert stderr.startswith("error:") and "usage:" in stderr
         assert "Traceback" not in stderr
         assert not out.exists()
 
@@ -580,8 +647,9 @@ def test_cli_import_skips_xml_and_network_modules(tmp_path):
     xml.sax.saxutils, which pulls in urllib.request and http.client.
     Of depnet itself, start-up loads only the CLI, and each command only the
     layers it runs: extraction no detector, metric, report or abstraction,
-    and a report on an edge file no header parser or abstraction. No
-    command loads dataclasses or the inspect module it imports."""
+    metrics no detector, and a report on an edge file no header parser or
+    abstraction. No command loads dataclasses or the inspect module it
+    imports."""
     src = Path(__file__).resolve().parents[1] / "src"
 
     def loaded(code: str) -> set[str]:
@@ -608,6 +676,11 @@ def test_cli_import_skips_xml_and_network_modules(tmp_path):
     assert extract & {"depnet.detect", "depnet.metrics", "depnet.report",
                       "depnet.abstract", "dataclasses", "inspect",
                       "multiprocessing", "concurrent.futures"} == set()
+    metrics = loaded(run.format(["metrics", "edges.tsv", "--out",
+                                 "metrics.json"]))
+    assert "depnet.metrics" in metrics
+    assert metrics & {"depnet.detect", "depnet.headers",
+                      "depnet.abstract"} == set()
     report = loaded(run.format(
         ["report", "edges.tsv", "--runs", "1", "--out", "report.json"]))
     assert "depnet.report" in report
