@@ -126,13 +126,13 @@ def cmd_metrics(network, partitions, xmin, package_depth, out):
     graph = _load_graph(network)
     packages, packages_plus, disconnected = package_analysis(graph, package_depth)
     named = {"P": packages, "P+": packages_plus}
+    taken = dict.fromkeys(named, "('P' and 'P+' are the package partitions)")
     for path in partitions:
         name = Path(path).name
-        if name in named:
-            raise DepnetError(
-                f"{path}: partitions are named by file basename and {name!r} "
-                "is already taken ('P' and 'P+' are the package partitions)"
-            )
+        if name in taken:
+            raise DepnetError(f"{path}: partitions are named by file basename "
+                              f"and {name!r} is already taken {taken[name]}")
+        taken[name] = f"by {path}"
         named[name] = _load_partition(path, graph)
     pairs = sorted(named)
     doc = {
@@ -189,32 +189,23 @@ def cmd_abstract(network, partition, fmt, components, package_depth, out):
     _emit(export(cgraph, fmt), out)
 
 
-def cmd_report(source, runs, eb_runs, seed, xmin, package_depth,
-               keep_external, type_args, out):
+def cmd_report(out, **config):
     """Full analysis document: metrics plus all detection algorithms.
 
     The source may be an edge TSV file or a directory of .chd header sources.
+    The report's config records every option but --out.
     """
     from .ingest import load_edge_list, read_text
     from .report import build_report, dump_report
 
+    source = config["source"]
     if Path(source).is_dir():
-        graph, _, sources = _extract_graph((source,), keep_external,
-                                           type_args)
+        graph, _, sources = _extract_graph(
+            (source,), config["keep_external"], config["type_args"])
         text = "".join(source_text for _, source_text in sources)
     else:
         text = read_text(source)
         graph = load_edge_list(text)
-    config = {
-        "source": str(source),
-        "runs": runs,
-        "eb_runs": eb_runs,
-        "seed": seed,
-        "xmin": xmin,
-        "package_depth": package_depth,
-        "keep_external": keep_external,
-        "type_args": type_args,
-    }
     _emit(dump_report(build_report(graph, config, text.encode())), out)
 
 

@@ -186,8 +186,8 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, int]], source: str,
                  filename: str | None = None):
         self.tokens = tokens
-        # The token texts alone: the hot paths below index this list
-        # rather than call the helpers.
+        # The token texts alone: the current token is always
+        # `self.texts[self.pos]`, and a step is `self.pos += 1`.
         self.texts = [text for text, _ in tokens]
         self.source = source
         self.pos = 0
@@ -200,24 +200,15 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self) -> str:
-        return self.texts[self.pos]
-
-    def next(self) -> str:
-        self.pos += 1
-        return self.texts[self.pos - 1]
-
-    def at(self, text: str) -> bool:
-        return self.texts[self.pos] == text
-
     def error(self, message: str, index: int | None = None) -> ParseError:
         """ParseError at token `index`, by default the current one."""
         offset = self.tokens[self.pos if index is None else index][1]
         return ParseError(message, *position(self.source, offset), self.filename)
 
     def expect(self, text: str) -> None:
-        if self.texts[self.pos] != text:
-            raise self.error(f"expected {text!r}, found {self.peek()!r}")
+        found = self.texts[self.pos]
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found!r}")
         self.pos += 1
 
     def enter(self) -> None:
@@ -236,18 +227,18 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def parse_unit(self) -> list[ClassDecl]:
-        if self.at("package"):
-            self.next()
+        texts = self.texts
+        if texts[self.pos] == "package":
+            self.pos += 1
             self.package = self.qualified_name()
             self.expect(";")
-        while self.at("import"):
-            self.next()
-            name = self.qualified_name()
+        while texts[self.pos] == "import":
+            self.pos += 1
+            self.imports.append(self.qualified_name())
             self.expect(";")
-            self.imports.append(name)
-        if self.at(""):
+        if texts[self.pos] == "":
             raise self.error("expected class or interface declaration")
-        while not self.at(""):
+        while texts[self.pos] != "":
             self.type_decl(outer=None)
         seen: set[str] = set()
         for decl in self.decls:
@@ -266,10 +257,11 @@ class _Parser:
         return ".".join(parts)
 
     def type_decl(self, outer: ClassDecl | None) -> None:
-        if self.peek() not in ("class", "interface"):
+        texts = self.texts
+        if texts[self.pos] not in ("class", "interface"):
             raise self.error(
-                f"expected 'class' or 'interface', found {self.peek()!r}")
-        self.next()
+                f"expected 'class' or 'interface', found {texts[self.pos]!r}")
+        self.pos += 1
         offset = self.tokens[self.pos][1]
         name = self.expect_ident()
         if outer is None:
@@ -277,54 +269,50 @@ class _Parser:
         else:
             fqn = f"{outer.fqn}.{name}"
         line = position(self.source, offset)[0]
-        type_params = self.type_param_names() if self.at("<") else set()
+        type_params = self.type_param_names() if texts[self.pos] == "<" else set()
         if outer is not None:
             type_params |= outer.type_params
         # Fresh lists for the five reference buckets, filled below.
         decl = ClassDecl(fqn, self.package, [], [], [], [], [],
                          list(self.imports), type_params, line)
         self.type_vars = type_params
-        if self.at("extends"):
-            self.next()
-            decl.supertypes.extend(self.supertypes())
-        if self.at("implements"):
-            self.next()
-            decl.supertypes.extend(self.supertypes())
+        for keyword in ("extends", "implements"):
+            if texts[self.pos] == keyword:
+                self.pos += 1
+                self.supertypes(decl.supertypes)
         self.expect("{")
-        texts = self.texts
         while texts[self.pos] != "}":
             if texts[self.pos] == "":
                 raise self.error("unexpected end of input in class body")
             self.member(decl)
-        self.next()  # closing brace
+        self.pos += 1  # closing brace
         self.decls.append(decl)
 
     def type_param_names(self) -> set[str]:
         """Parse <T, U extends Bound & Other, ...>. Bound types are discarded,
         so no type variable counts as in scope in them."""
         self.expect("<")
+        texts = self.texts
         self.type_vars = set()
         names: set[str] = set()
         while True:
             names.add(self.expect_ident())
-            if self.at("extends"):
+            if texts[self.pos] == "extends":
                 self.enter()
-                self.next()
+                self.pos += 1
                 self.type_ref()
-                while self.at("&"):
-                    self.next()
+                while texts[self.pos] == "&":
+                    self.pos += 1
                     self.type_ref()
                 self.depth -= 1
-            if self.at(","):
-                self.next()
-                continue
-            self.expect(">")
-            return names
+            if texts[self.pos] != ",":
+                self.expect(">")
+                return names
+            self.pos += 1
 
-    def supertypes(self) -> list[TypeRef]:
-        """Parse the type list after extends or implements; a type variable
-        in scope is no class to extend."""
-        refs: list[TypeRef] = []
+    def supertypes(self, refs: list[TypeRef]) -> None:
+        """Parse the type list after extends or implements into refs; a type
+        variable in scope is no class to extend."""
         while True:
             start = self.pos
             ref = self.type_ref()
@@ -332,9 +320,9 @@ class _Parser:
                 raise self.error(
                     f"type variable {ref.name!r} used as a supertype", start)
             self.store(refs, ref)
-            if not self.at(","):
-                return refs
-            self.next()
+            if self.texts[self.pos] != ",":
+                return
+            self.pos += 1
 
     def type_ref(self) -> TypeRef:
         texts = self.texts
@@ -392,11 +380,12 @@ class _Parser:
             # Constructor: the "type" was the class name.
             if ref.name != decl.simple_name:
                 raise self.error(f"unexpected '(' after {ref.name!r}")
-            self.method_tail(decl, return_ref=None, is_ctor=True)
+            self.method_tail(decl.ctor_param_types)
             return
         self.expect_ident()
         if texts[self.pos] == "(":
-            self.method_tail(decl, return_ref=ref)
+            self.method_tail(decl.param_types)
+            self.store(decl.return_types, ref)
             return
         # Field declaration, possibly multi-name with initializers.
         self.store(decl.field_types, ref)
@@ -411,15 +400,14 @@ class _Parser:
             self.expect(";")
             return
 
-    def method_tail(self, decl: ClassDecl, return_ref: TypeRef | None,
-                    is_ctor: bool = False) -> None:
-        """Parse '(params) [throws ...] (; | {body})' and record the types."""
+    def method_tail(self, params: list[TypeRef]) -> None:
+        """Parse '(params) [throws ...] (; | {body})', storing the parameter
+        types in params."""
         texts = self.texts
         self.expect("(")
-        params: list[TypeRef] = []
         if texts[self.pos] != ")":
             while True:
-                params.append(self.type_ref())
+                self.store(params, self.type_ref())
                 if texts[self.pos] == "...":
                     self.pos += 1
                 text = texts[self.pos]
@@ -439,11 +427,6 @@ class _Parser:
             self.skip_block()
         else:
             self.expect(";")
-        bucket = decl.ctor_param_types if is_ctor else decl.param_types
-        for param in params:
-            self.store(bucket, param)
-        if return_ref is not None:
-            self.store(decl.return_types, return_ref)
 
     def store(self, bucket: list[TypeRef], ref: TypeRef) -> None:
         """Append ref unless it names void, a primitive or a type variable

@@ -132,6 +132,9 @@ def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
     xmin = config["xmin"]
     packages, packages_plus, disconnected = \
         package_analysis(graph, config["package_depth"])
+    # Before the size distributions, so that a graph with no edges fails on
+    # modularity's message rather than on an empty partition's.
+    q, q_plus = modularity(graph, packages), modularity(graph, packages_plus)
 
     algo_section: dict[str, dict] = {}
     distributions = {"packages": size_distribution(packages, xmin)}
@@ -152,8 +155,8 @@ def build_report(graph: ClassGraph, config: dict, input_bytes: bytes) -> dict:
             "packages": n_packages,
         },
         "packages": {
-            "q": modularity(graph, packages),
-            "q_plus": modularity(graph, packages_plus),
+            "q": q,
+            "q_plus": q_plus,
             "blocks": n_packages,
             "blocks_plus": len(set(packages_plus)),
             "disconnected_packages": disconnected,

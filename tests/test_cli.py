@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -167,7 +168,9 @@ class TestMetrics:
             paths.append(tmp_path / folder / "part.tsv")
             paths[-1].write_text(PARTITION_TEXT)
         assert main(["metrics", network, *map(str, paths)]) == 2
-        assert "'part.tsv' is already taken" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'part.tsv' is already taken by {paths[0]}\n" in err
+        assert "package partitions" not in err
 
     @pytest.mark.parametrize("name", ["P", "P+"])
     def test_package_partition_name_rejected(self, network, tmp_path, capsys,
@@ -175,7 +178,8 @@ class TestMetrics:
         path = tmp_path / name
         path.write_text(PARTITION_TEXT)
         assert main(["metrics", network, str(path)]) == 2
-        assert f"{name!r} is already taken" in capsys.readouterr().err
+        assert (f"{name!r} is already taken ('P' and 'P+' are the package "
+                "partitions)") in capsys.readouterr().err
 
     def test_distinct_names_all_reported(self, run_cli, network, tmp_path):
         paths = [tmp_path / "one.tsv", tmp_path / "two.tsv"]
@@ -289,6 +293,39 @@ class TestReport:
         for key in ("algorithms", "packages", "network",
                     "size_distributions"):
             assert docs[0][key] == docs[1][key], key
+
+    @pytest.mark.parametrize("source", ["edges", "directory"])
+    def test_config_records_every_option_but_out(self, run_cli, network,
+                                                 source):
+        """The `report` subparser is the one list of a report's settings:
+        the report's config holds each option it parses but `--out`."""
+        from depnet.cli import _parser
+
+        commands = next(action for action in _parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        dests = {action.dest for action in commands.choices["report"]._actions
+                 if action.default is not argparse.SUPPRESS}
+        path = network if source == "edges" else str(CORPUS_DIR)
+        code, stdout, stderr = run_cli(["report", path, "--runs", "1"])
+        assert code == 0, stderr
+        config = json.loads(stdout)["config"]
+        assert set(config) == dests - {"out"}
+        assert (config["source"], config["runs"]) == (path, 1)
+
+    def test_tree_with_no_dependencies_names_the_cause(
+            self, run_cli, tmp_path, monkeypatch):
+        """Classes that reference nothing leave a graph with no edges, and
+        the report says so before any detector runs."""
+        from depnet import report
+
+        monkeypatch.setattr(report, "run_batch",
+                            lambda *args: pytest.fail("a detector ran"))
+        (tmp_path / "A.chd").write_text("package p; class A { int n; }")
+        (tmp_path / "B.chd").write_text("package p; class B {}")
+        code, stdout, stderr = run_cli(["report", str(tmp_path)])
+        assert (code, stdout) == (2, "")
+        assert stderr == ("error: modularity undefined for a graph with no "
+                          "edges\n")
 
     def test_edge_file_is_read_once(self, run_cli, network, monkeypatch):
         """A report on an edge file reads it once, through `read_text`."""

@@ -229,6 +229,14 @@ def test_field_initializer_ignored():
     assert refs(decl.field_types) == ["Baz"]
 
 
+def test_bodies_and_initializers_hold_only_header_tokens():
+    """Bodies and initializers are skipped only after the whole file is
+    tokenized, so a character the lexer does not know fails there too."""
+    with pytest.raises(ParseError, match="unexpected character '-'") as err:
+        parse_class_headers("class A { int x = -1; }")
+    assert (err.value.line, err.value.column) == (1, 19)
+
+
 def test_multi_name_field():
     decl = parse_class_headers("class A { Baz a, b; }")[0]
     assert refs(decl.field_types) == ["Baz", "Baz"]
