@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 from typing import NamedTuple
 
@@ -153,6 +154,18 @@ def _xml_quoteattr(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
+# A string of the characters that XML 1.0 allows; no escape writes others.
+_XML_TEXT = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
+
+
+def _xml_label(label: str) -> str:
+    """A label as a quoted attribute; FormatError if XML cannot hold it."""
+    if not _XML_TEXT.fullmatch(label):
+        raise FormatError(f"label {label!r} holds a character that XML 1.0 "
+                          "forbids, so GraphML cannot hold it")
+    return _xml_quoteattr(label)
+
+
 def _export_graphml(cgraph: CommunityGraph) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -166,7 +179,7 @@ def _export_graphml(cgraph: CommunityGraph) -> str:
     for c in cgraph.communities:
         packages = json.dumps(c.packages, sort_keys=True)
         lines += [
-            f"    <node id={_xml_quoteattr(c.label)}>",
+            f"    <node id={_xml_label(c.label)}>",
             f'      <data key="size">{c.size}</data>',
             f'      <data key="self_weight">{c.self_weight}</data>',
             f'      <data key="packages">{_xml_escape(packages)}</data>',
@@ -174,7 +187,7 @@ def _export_graphml(cgraph: CommunityGraph) -> str:
         ]
     for e in cgraph.edges:
         lines += [
-            f"    <edge source={_xml_quoteattr(e.a)} target={_xml_quoteattr(e.b)}>",
+            f"    <edge source={_xml_label(e.a)} target={_xml_label(e.b)}>",
             f'      <data key="weight">{e.weight}</data>',
             "    </edge>",
         ]

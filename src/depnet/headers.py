@@ -3,7 +3,8 @@
 The accepted language is a Java-like header subset: package declaration,
 imports, class/interface declarations with extends/implements clauses, field
 declarations and method signatures. Modifiers, annotations and throws clauses
-are skipped; method bodies and field initializers are ignored when present.
+are skipped; method bodies, field initializers, initializer blocks and
+annotation arguments are skipped unread, as characters (see ``_skip``).
 """
 
 from __future__ import annotations
@@ -35,16 +36,28 @@ _LITERAL = r"""( "[^"\\]*(?:\\.[^"\\]*)*" | '[^'\\]*(?:\\.[^'\\]*)*' )"""
 _TOKEN = re.compile(r"""
     (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
     (?: ([\w$]+)                                 # 1: word
-      | (\.\.\. | [{}()<>\[\];,.=?&])           # 2: punctuation
+      | (\.\.\. | [}()<>\[\];,.?&])             # 2: punctuation
       | """ + _LITERAL + r"""                  # 3: string or char literal
       | (@)                                      # 4: annotation
+      | ([{=])                                   # 5: a stop, see tokenize
     )?""", re.VERBOSE | re.DOTALL)
 _DOTTED = re.compile(r"[\w$.]*")  # a numeric literal or an annotation name
-# In annotation arguments: a parenthesis, a literal (group 1) taken whole so
-# that the parentheses inside it are not counted, or a quote that starts no
-# complete literal (group 2).
-_ANNOTATION_ATOM = re.compile(r"[()] | " + _LITERAL + r""" | (["'])""",
-                              re.VERBOSE | re.DOTALL)
+# What _skip steps over, one match at a time: a run of characters that no
+# skip counts, a comment or a literal (group 1) whole, a quote or "/*" that
+# starts none (group 2), or one other character.
+_SKIPPED = re.compile(r"""
+    [^"'/(){}\[\];,]+ | //[^\n]* | /\*.*?\*/ | """ + _LITERAL + r"""
+  | (["'] | /\*) | .""", re.VERBOSE | re.DOTALL)
+# Per opener: the brackets that count, and what it opens.
+_SKIP_RULES = {"(": ("(", ")", "annotation"), "{": ("{", "}", "block"),
+               "=": ("([{", ")]}", "field initializer")}
+# After a ',' at depth 0 in an initializer: more declarator names, the last
+# followed by '=' or ';' (group 1). Each gap item matches one way only, so
+# a failed match never backtracks into a comment; where none follows, the
+# match ends past the last name-and-comma, and none of the commas it passed
+# can end the initializer either.
+_GAP = r"(?:[ \t\r\n]|//[^\n]*(?!.)|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*"
+_DECLARATORS = re.compile(rf"(?:{_GAP}[\w$]+{_GAP},)*({_GAP}[\w$]+{_GAP}[=;])?")
 
 
 def position(source: str, pos: int) -> tuple[int, int]:
@@ -99,36 +112,37 @@ class ClassDecl(NamedTuple):
         return self.fqn.rsplit(".", 1)[-1]
 
 
-def tokenize(source: str, filename: str | None = None) -> list[tuple[str, int]]:
-    """Produce the token stream, skipping comments, modifiers and annotations.
+def tokenize(source: str, filename: str | None = None,
+             start: int = 0) -> list[tuple[str, int]]:
+    """Produce the header tokens from offset start, skipping comments,
+    modifiers and annotations, up to and with the next ``{`` or ``=``.
 
-    A token is the pair (text, offset of its first character), and the
-    stream ends with ("", len(source)). One compiled pattern is matched at
-    each offset. It skips whitespace and comments, then takes a word
-    ``[\\w$]+``, punctuation (``...`` included), a string or char literal,
-    or ``@``. A word that starts with a letter, ``_`` or ``$`` is an
-    identifier, and dropped if it is a modifier; one that starts with a digit
-    is re-read as a numeric literal ``[\\w$.]+``; any other start is an
-    unexpected character. So no identifier or literal text equals a
-    punctuation string or "", and the parser tells tokens apart by their
-    text alone. An annotation is ``@`` and a name, then an optional
-    ``(...)`` right after it; it yields no token. Inside the parentheses,
-    string and char literals are skipped whole and every other character is
-    skipped raw, so only parentheses outside literals count.
+    A token is the pair (text, offset of its first character). The stream
+    ends with ``{`` or ``=`` where one comes, and otherwise with
+    ("", len(source)): the text after a ``{`` or ``=`` may be a body or an
+    initializer, which only the parser can tell, so it is lexed by a call
+    that starts where the parser chooses (see ``_skip``). One compiled
+    pattern is matched at each offset. It skips whitespace and comments,
+    then takes a word ``[\\w$]+``, punctuation (``...`` included), a string
+    or char literal, or ``@``. A word that starts with a letter, ``_`` or
+    ``$`` is an identifier, and dropped if it is a modifier; one that starts
+    with a digit is re-read as a numeric literal ``[\\w$.]+``; any other
+    start is an unexpected character. So no identifier or literal text
+    equals a punctuation string or "", and the parser tells tokens apart by
+    their text alone. An annotation is ``@`` and a name, then an optional
+    ``(...)`` right after it, skipped by ``_skip``; it yields no token.
 
     ``position`` turns an offset into a line and column, which only errors
     and ``ClassDecl.line`` need. ParseError is raised for an unexpected
     character, an unterminated block comment, an unterminated string or char
-    literal (one ending in a backslash at end of input included, and a quote
-    in annotation arguments that starts no complete literal), an ``@`` with
-    no name, and an annotation whose ``(`` is never closed ("unterminated
-    annotation").
+    literal (one ending in a backslash at end of input included), an ``@``
+    with no name, and the errors of ``_skip`` in annotation arguments.
     """
     tokens: list[tuple[str, int]] = []
     append = tokens.append
     match = _TOKEN.match
     n = len(source)
-    i = 0
+    i = start
 
     def err(msg: str, pos: int) -> ParseError:
         return ParseError(msg, *position(source, pos), filename)
@@ -145,50 +159,79 @@ def tokenize(source: str, filename: str | None = None) -> list[tuple[str, int]]:
             if source[i] in "\"'":
                 raise err("unterminated literal", i)
             raise err(f"unexpected character {source[i]!r}", i)
-        start, i = m.span(group)
+        at, i = m.span(group)
         if group == 1:
-            ch = source[start]
+            ch = source[at]
             if ch.isalpha() or ch in "_$":
-                word = source[start:i]
+                word = source[at:i]
                 if word not in MODIFIERS:
-                    append((word, start))
+                    append((word, at))
             elif ch.isdigit():
                 # Numeric literal; only ever skipped, so lex permissively.
-                i = _DOTTED.match(source, start).end()
-                append((source[start:i], start))
+                i = _DOTTED.match(source, at).end()
+                append((source[at:i], at))
             else:
-                raise err(f"unexpected character {ch!r}", start)
-        elif group in (2, 3):
-            append((source[start:i], start))
-        else:
+                raise err(f"unexpected character {ch!r}", at)
+        elif group == 4:
             end = _DOTTED.match(source, i).end()
             if not _is_identifier(source[i:end]):
                 raise err("expected annotation name after '@'", i)
-            if source.startswith("(", end):
-                depth = 0
-                for atom in _ANNOTATION_ATOM.finditer(source, end):
-                    if atom.lastindex == 2:
-                        raise err("unterminated literal", atom.start())
-                    if atom.lastindex:
-                        continue  # a literal
-                    depth += 1 if atom.group() == "(" else -1
-                    if depth == 0:
-                        break
-                else:
-                    raise err("unterminated annotation", end)
-                end = atom.end()
             i = end
+            if source.startswith("(", end):
+                i = _skip(source, end, filename)
+        else:
+            append((source[at:i], at))
+            if group == 5:
+                return tokens
     append(("", n))
     return tokens
 
 
+def _skip(source: str, start: int, filename: str | None) -> int:
+    """End of the text that the ``(``, ``{`` or ``=`` at offset start opens,
+    which is skipped unread.
+
+    Comments and string and char literals are taken whole, so a bracket,
+    ``;`` or ``,`` inside one does not count, and any other character may
+    appear. The opener sets which brackets count. Annotation arguments
+    after ``(`` and a body after ``{`` end after the parenthesis or brace
+    that closes the opener; other brackets are not counted. An initializer
+    after ``=`` counts all three pairs and ends at (the offset of) the first
+    ``;`` or ``,`` at depth 0. A ``,`` ends it only if declarator names
+    follow, separated by ``,``, the last one followed by ``=`` or ``;``, so
+    the ``,`` in ``new HashMap<B, C>()`` does not, while the one in
+    ``x < y, b;`` does. ParseError is raised for an unterminated comment or
+    literal, and at the opener if the text never ends.
+    """
+    opener = source[start]
+    opens, closes, what = _SKIP_RULES[opener]
+    depth = checked = 0  # commas before offset checked cannot end it
+    for m in _SKIPPED.finditer(source, start):
+        text = m.group()
+        if m.lastindex == 2:
+            what = "block comment" if text == "/*" else "literal"
+            start = m.start()
+            break
+        if text in opens:
+            depth += 1
+        elif text in closes:
+            depth -= 1
+            if depth == 0 and opener != "=":
+                return m.end()
+        elif depth == 0 and text in (";", ",") and m.end() > checked:
+            names = text == "," and _DECLARATORS.match(source, m.end())
+            if not names or names.group(1):
+                return m.start()
+            checked = names.end()
+    raise ParseError(f"unterminated {what}", *position(source, start), filename)
+
+
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, int]], source: str,
-                 filename: str | None = None):
-        self.tokens = tokens
+    def __init__(self, source: str, filename: str | None = None):
+        self.tokens: list[tuple[str, int]] = []
         # The token texts alone: the current token is always
         # `self.texts[self.pos]`, and a step is `self.pos += 1`.
-        self.texts = [text for text, _ in tokens]
+        self.texts: list[str] = []
         self.source = source
         self.pos = 0
         self.depth = 0  # see MAX_NESTING
@@ -197,6 +240,7 @@ class _Parser:
         self.imports: list[str] = []
         self.decls: list[ClassDecl] = []
         self.type_vars: set[str] = set()  # type variables in scope here
+        self.lex(0)
 
     # -- token helpers ------------------------------------------------------
 
@@ -204,6 +248,19 @@ class _Parser:
         """ParseError at token `index`, by default the current one."""
         offset = self.tokens[self.pos if index is None else index][1]
         return ParseError(message, *position(self.source, offset), self.filename)
+
+    def lex(self, start: int) -> None:
+        """Append the tokens from offset start through the next stop."""
+        tokens = tokenize(self.source, self.filename, start)
+        self.tokens += tokens
+        self.texts += [text for text, _ in tokens]
+
+    def skip(self) -> None:
+        """Step over the current '{' or '=' and the text it opens, unread,
+        and lex on after it."""
+        end = _skip(self.source, self.tokens[self.pos][1], self.filename)
+        self.pos += 1
+        self.lex(end)
 
     def expect(self, text: str) -> None:
         found = self.texts[self.pos]
@@ -281,6 +338,7 @@ class _Parser:
                 self.pos += 1
                 self.supertypes(decl.supertypes)
         self.expect("{")
+        self.lex(self.tokens[self.pos - 1][1] + 1)
         while texts[self.pos] != "}":
             if texts[self.pos] == "":
                 raise self.error("unexpected end of input in class body")
@@ -367,6 +425,12 @@ class _Parser:
 
     def member(self, decl: ClassDecl) -> None:
         texts = self.texts
+        if texts[self.pos] == "{":  # an initializer block
+            self.skip()
+            return
+        if texts[self.pos] == ";":  # an empty member
+            self.pos += 1
+            return
         if texts[self.pos] in ("class", "interface"):
             self.enter()
             self.type_decl(outer=decl)
@@ -388,17 +452,15 @@ class _Parser:
             self.store(decl.return_types, ref)
             return
         # Field declaration, possibly multi-name with initializers.
-        self.store(decl.field_types, ref)
         while True:
+            self.store(decl.field_types, ref)
             if texts[self.pos] == "=":
-                self.skip_initializer()
-            if texts[self.pos] == ",":
-                self.pos += 1
-                self.expect_ident()
-                self.store(decl.field_types, ref)
-                continue
-            self.expect(";")
-            return
+                self.skip()
+            if texts[self.pos] != ",":
+                self.expect(";")
+                return
+            self.pos += 1
+            self.expect_ident()
 
     def method_tail(self, params: list[TypeRef]) -> None:
         """Parse '(params) [throws ...] (; | {body})', storing the parameter
@@ -424,7 +486,7 @@ class _Parser:
                 self.pos += 1
                 self.qualified_name()
         if texts[self.pos] == "{":
-            self.skip_block()
+            self.skip()
         else:
             self.expect(";")
 
@@ -436,49 +498,17 @@ class _Parser:
             return
         bucket.append(ref)
 
-    def skip_block(self) -> None:
-        """Skip from the current '{' past the '}' that closes it: the first
-        '}' at which as many '}' as '{' have been passed. Each '}' is found
-        with `list.index` and the '{' before it counted over a slice, so
-        no Python step is taken per token."""
-        texts = self.texts
-        pos = self.pos
-        opened = closed = 0
-        while True:
-            try:
-                close = texts.index("}", pos)
-            except ValueError:
-                raise self.error("unterminated block",
-                                 len(texts) - 1) from None
-            opened += texts[pos:close].count("{")
-            closed += 1
-            pos = close + 1
-            if closed == opened:
-                self.pos = pos
-                return
-
-    def skip_initializer(self) -> None:
-        """Skip '= ...' up to the terminating ';' or ',' at nesting depth 0."""
-        self.expect("=")
-        texts = self.texts
-        pos = self.pos
-        depth = 0
-        while True:
-            text = texts[pos]
-            if text == "":
-                raise self.error("unterminated field initializer", pos)
-            if text in ("{", "(", "["):
-                depth += 1
-            elif text in ("}", ")", "]"):
-                depth -= 1
-            elif text in (";", ",") and depth == 0:
-                self.pos = pos
-                return
-            pos += 1
-
 
 def parse_class_headers(source_text: str, filename: str | None = None) -> list[ClassDecl]:
     """Parse one header-source file into ClassDecls (nested classes flattened).
+
+    The parser lexes the file with ``tokenize`` up to each ``{`` or ``=``,
+    and lexes on after a class body's ``{``, or past the method body,
+    initializer block or field initializer that ``_skip`` steps over; so
+    their text is never tokenized, and may hold any character. A lone ``;``
+    among the members is an empty member. Errors are reported in file
+    order, except that a lexical error is reported before a syntax error
+    earlier in the same stretch, the text up to the next ``{`` or ``=``.
 
     Generic arguments, wildcard and type-parameter bounds and nested classes
     nested more than MAX_NESTING levels deep raise ParseError("nesting too
@@ -488,5 +518,4 @@ def parse_class_headers(source_text: str, filename: str | None = None) -> list[C
     in scope as a supertype, or as the first part of a qualified type name
     (``T.Inner``), raises it at the variable.
     """
-    tokens = tokenize(source_text, filename)
-    return _Parser(tokens, source_text, filename).parse_unit()
+    return _Parser(source_text, filename).parse_unit()

@@ -11,8 +11,10 @@ every component after each cut; the component-local `detect_eb` must match
 them bit for bit. `split_disconnected_reference` is the original P+ split with
 its own component search; its label order must be kept, since `nmi` sums
 floats in that order. `tokenize_reference` is the original character-stepping
-tokenizer, which tracks line and column for every token; the master-regex
-`tokenize` must give the same stream, with `position` for line and column.
+tokenizer, which tracks line and column for every token, taught only to take
+comments and literals in annotation arguments whole, as Java does; the
+master-regex `tokenize`, resumed after each `{` or `=` it stops at, must give
+the same stream, with `position` for line and column.
 `largest_components_filter_reference` is the original component filter with
 its own union-find; the filter built on `component_labels` must give the
 same community graph. `lp_sweeps_reference` is the original label-propagation
@@ -388,15 +390,12 @@ def tokenize_reference(source: str, filename: str | None = None) -> list[Referen
                 col += 1
             i += 1
 
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
+    def comment() -> bool:
+        """Step over the comment at i, if one starts there."""
         if source.startswith("//", i):
             while i < n and source[i] != "\n":
                 advance(1)
-            continue
+            return True
         if source.startswith("/*", i):
             start_line, start_col = line, col
             advance(2)
@@ -405,6 +404,25 @@ def tokenize_reference(source: str, filename: str | None = None) -> list[Referen
             if i >= n:
                 raise err("unterminated block comment", start_line, start_col)
             advance(2)
+            return True
+        return False
+
+    def literal() -> None:
+        """Step over the string or char literal that starts at i."""
+        quote, start_line, start_col = source[i], line, col
+        advance(1)
+        while i < n and source[i] != quote:
+            advance(2 if source[i] == "\\" else 1)
+        if i >= n:
+            raise err("unterminated literal", start_line, start_col)
+        advance(1)
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if comment():
             continue
         if ch == "@":
             # Annotation: skip @QualifiedName and an optional balanced (...) tail.
@@ -414,8 +432,14 @@ def tokenize_reference(source: str, filename: str | None = None) -> list[Referen
             while i < n and (_is_ident_part_reference(source[i]) or source[i] == "."):
                 advance(1)
             if i < n and source[i] == "(":
+                # Comments and literals in the arguments are taken whole.
                 depth = 0
                 while i < n:
+                    if comment():
+                        continue
+                    if source[i] in "\"'":
+                        literal()
+                        continue
                     if source[i] == "(":
                         depth += 1
                     elif source[i] == ")":
@@ -442,14 +466,8 @@ def tokenize_reference(source: str, filename: str | None = None) -> list[Referen
             tokens.append(ReferenceToken("literal", source[start:i], start_line, start_col))
             continue
         if ch in "\"'":
-            quote, start_line, start_col = ch, line, col
-            start = i
-            advance(1)
-            while i < n and source[i] != quote:
-                advance(2 if source[i] == "\\" else 1)
-            if i >= n:
-                raise err("unterminated literal", start_line, start_col)
-            advance(1)
+            start, start_line, start_col = i, line, col
+            literal()
             tokens.append(ReferenceToken("literal", source[start:i], start_line, start_col))
             continue
         if source.startswith("...", i):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +160,30 @@ class TestExport:
         assert [(edge.get("source"), edge.get("target"))
                 for edge in graph.findall(f"{ns}edge")] == \
             [(e.a, e.b) for e in edges]
+
+    @pytest.mark.parametrize("label", ["a\x0bb", "\x00", "a\x1f", "\ufffe",
+                                       "\ud800", "\uffff"])
+    def test_graphml_rejects_what_xml_cannot_hold(self, label):
+        """XML 1.0 forbids these characters, escaped or not; the export used
+        to write them, and `ElementTree` then failed with "not well-formed"."""
+        for communities, edges in [
+                ((Community(label, 1, {}, 0),), ()),
+                ((Community("a", 1, {}, 0), Community(label, 1, {}, 0)),
+                 (CommunityEdge("a", label, 1),))]:
+            with pytest.raises(FormatError, match=re.escape(repr(label))):
+                export(CommunityGraph(communities, edges), "graphml")
+
+    def test_graphml_keeps_what_xml_can_hold(self):
+        import xml.etree.ElementTree as ET
+
+        labels = sorted(["\t \n\r", "\ud7ff", "\ue000\ufffd", "\U00010000",
+                         "\U0010ffff"])
+        text = export(CommunityGraph(
+            tuple(Community(label, 1, {}, 0) for label in labels), ()),
+            "graphml")
+        ns = "{http://graphml.graphdrawing.org/xmlns}"
+        assert [node.get("id") for node in ET.fromstring(text).iter(
+            f"{ns}node")] == labels
 
     def test_json_round_trip(self, triangle_cgraph):
         doc = json.loads(export(triangle_cgraph, "json"))

@@ -419,6 +419,20 @@ class TestExitCodes:
         assert (code, stderr) == (0, "")
         assert stdout.lower().startswith("usage:")
 
+    def test_graphml_label_xml_cannot_hold_is_two(self, run_cli, network,
+                                                  tmp_path):
+        """A partition label with U+000B used to give exit 0 and GraphML
+        that no XML parser reads."""
+        part = tmp_path / "part.tsv"
+        part.write_text(PARTITION_TEXT.replace("\tpa", "\tp\x0ba"))
+        out = tmp_path / "out.graphml"
+        code, stdout, stderr = run_cli(["abstract", network, str(part),
+                                        "--format", "graphml", "--out",
+                                        str(out)])
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: label 'p\\x0ba' holds a character")
+        assert not out.exists()
+
     def test_data_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("no header\n")

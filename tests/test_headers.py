@@ -229,12 +229,60 @@ def test_field_initializer_ignored():
     assert refs(decl.field_types) == ["Baz"]
 
 
-def test_bodies_and_initializers_hold_only_header_tokens():
-    """Bodies and initializers are skipped only after the whole file is
-    tokenized, so a character the lexer does not know fails there too."""
-    with pytest.raises(ParseError, match="unexpected character '-'") as err:
-        parse_class_headers("class A { int x = -1; }")
-    assert (err.value.line, err.value.column) == (1, 19)
+def decls_of(source):
+    return [(d.fqn, d.line, [r.flatten(True) for r in d.field_types],
+             [r.flatten(True) for r in d.return_types]) for d in
+            parse_class_headers(source)]
+
+
+def test_bodies_and_initializers_hold_any_text():
+    """Bodies and initializers are skipped unread, so they may hold any
+    character; they used to be tokenized first, and `int x = -1;` failed
+    with "unexpected character '-'"."""
+    template = "class A {{ int x = {0}; B b = {0}, c; C m() {{ y = {0}; }} }}"
+    for text in ["-1", "a + b", "!a", "a ? b : c", "#", "x -> x * 2",
+                 "() -> { a -= 1; }", "new HashMap<B, C>()", "a | b % c ^ ~d"]:
+        assert decls_of(template.format(text)) == decls_of(template.format(""))
+
+
+@pytest.mark.parametrize("source, fields", [
+    ("class A { java.util.Map<B,C> m = new java.util.HashMap<B,C>(); }",
+     ["java.util.Map"]),
+    ("class A { Map<B,C> m = new HashMap<B,C>(), n; }", ["Map", "Map"]),
+    ("class A { T a = new T<A, B, C>(), /* c */ b = 1, c; }", ["T"] * 3),
+    ("class A { Foo a = x < y, b; }", ["Foo", "Foo"]),
+    ("class A { Foo a = f(x, y), // n\n b; }", ["Foo", "Foo"]),
+    ("class A { B b = c, final d; }", ["B"]),
+])
+def test_initializer_comma_rule(source, fields):
+    """A ',' at depth 0 ends an initializer only if declarator names follow,
+    the last one followed by '=' or ';'. The first source used to fail
+    with "expected ';', found '>'" at the comma in `<B,C>`. A modifier is
+    no declarator name, so in the last source, which is not Java, the
+    initializer runs to the ';'; it used to give two fields."""
+    assert refs(parse_class_headers(source)[0].field_types) == fields
+
+
+def test_long_generic_initializer_is_linear():
+    """No ',' of the list ends the initializer, and each is looked at once;
+    checking each one to the end of the list is quadratic, tens of seconds
+    at this length."""
+    names = ", ".join(f"A{i}" for i in range(20000))
+    start = time.perf_counter()
+    decl = parse_class_headers(f"class A {{ B b = new B<{names}>(); }}")[0]
+    assert refs(decl.field_types) == ["B"]
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("source, fields", [
+    ("class A { static { x(); } B b; }", ["B"]),
+    ("class A { ; B b; }", ["B"]),
+    ("class A { { int[] x = {1, 2}; } ;; C c; D m() {}; }", ["C"]),
+])
+def test_initializer_block_and_empty_member(source, fields):
+    """Both are ordinary Java; the first two used to fail with "expected
+    type, found '{'" and "expected type, found ';'"."""
+    assert refs(parse_class_headers(source)[0].field_types) == fields
 
 
 def test_multi_name_field():
@@ -246,6 +294,26 @@ def test_syntax_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_class_headers("package p;\nclass A {\n  Baz ; \n}")
     assert err.value.line == 3
+
+
+def test_syntax_error_before_a_later_stretch_wins():
+    """Lexing stops after each '{' and '=', so a syntax error reported before
+    the next stop comes first; the lexical error at '%' used to win."""
+    with pytest.raises(ParseError, match="expected ';', found 'class'") as err:
+        parse_class_headers("package p class A { % }")
+    assert (err.value.line, err.value.column) == (1, 11)
+
+
+@pytest.mark.parametrize("source, opener, message", [
+    ("class A { void m() { x(); ", "{ x", "unterminated block"),
+    ("class A { B b = c ", "=", "unterminated field initializer"),
+    ("class A { B b = c } ", "=", "unterminated field initializer"),
+])
+def test_unterminated_skip_reported_at_its_opener(source, opener, message):
+    """They used to be reported at the end of input."""
+    with pytest.raises(ParseError, match=message) as err:
+        parse_class_headers(source)
+    assert (err.value.line, err.value.column) == (1, source.index(opener) + 1)
 
 
 def test_lexical_error_has_position():
@@ -310,6 +378,16 @@ def test_parenthesis_in_annotation_literal_not_counted(source, fields):
     """String and char literals in annotation arguments are atoms; the first
     two sources used to fail with 'unterminated annotation' and
     'unterminated literal'."""
+    assert refs(parse_class_headers(source)[0].field_types) == fields
+
+
+@pytest.mark.parametrize("source, fields", [
+    ("@A(x /* ) */) class A { B b; }", ["B"]),
+    ("@A(x // )\n) class A { @C(/* \" */) B b; }", ["B"]),
+])
+def test_comments_in_annotation_arguments_are_comments(source, fields):
+    """As in Java; the first source used to fail with "unexpected character
+    '*'", the ')' in the comment closing the annotation."""
     assert refs(parse_class_headers(source)[0].field_types) == fields
 
 
@@ -395,11 +473,20 @@ def token_kind(text):
     return "punct"
 
 
+def tokenize_all(source, filename=None):
+    """Every token of source, bodies and initializers included: tokenize
+    resumed after each '{' or '=' it stops at."""
+    tokens = tokenize(source, filename)
+    while tokens[-1][0]:
+        tokens += tokenize(source, filename, tokens[-1][1] + 1)
+    return tokens
+
+
 def token_stream(source):
     """(kind, text, line, col) per token, or the ParseError as a tuple."""
     try:
         return [(token_kind(text), text, *position(source, offset))
-                for text, offset in tokenize(source, "f.chd")]
+                for text, offset in tokenize_all(source, "f.chd")]
     except ParseError as exc:
         return (str(exc), exc.line, exc.column)
 
@@ -419,49 +506,22 @@ def offset_of(source, line, col):
     return start + col - 1
 
 
-# One atom of an annotation's argument list: a parenthesis, a whole string
-# or char literal, or a quote that starts no complete literal; every other
-# character is skipped.
+# One atom of an annotation's argument list: a comment, a parenthesis or a
+# whole string or char literal; every other character is skipped.
 ARGUMENT_ATOM = re.compile(
-    r"""[()]|"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*'|["']""",
+    r"""//[^\n]*|/\*.*?\*/|[()]|"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*'""",
     re.DOTALL)
 
 
-def argument_atoms(text):
-    """Atoms of the argument list that text starts with, up to and with its
-    closing ')', or to the end of text if it never closes."""
+def never_closes(text):
+    """True if the '(' that text starts with has no matching ')', comments
+    and literals counting as atoms."""
     depth = 0
     for atom in ARGUMENT_ATOM.finditer(text):
-        yield atom.group()
         depth += (atom.group() == "(") - (atom.group() == ")")
         if depth == 0:
-            return
-
-
-def never_closes(text):
-    """True if the '(' that text starts with has no matching ')', literals
-    counting as atoms."""
-    atoms = list(argument_atoms(text))
-    return atoms.count("(") != atoms.count(")")
-
-
-def literal_paren_in_annotation(source):
-    """True if the argument list after some '@Name' holds a literal with a
-    parenthesis in it. A loose textual test: an '@' inside a comment or a
-    literal counts too."""
-    return any(
-        atom[0] in "\"'" and ("(" in atom or ")" in atom)
-        for head in re.finditer(r"@[\w$.]*\(", source)
-        for atom in argument_atoms(source[head.end() - 1:]))
-
-
-def stray_quote_in_annotation(source):
-    """True if the argument list after some '@Name' holds a quote that
-    starts no complete literal; as loose a textual test as the one above."""
-    return any(
-        atom in ("'", '"')
-        for head in re.finditer(r"@[\w$.]*\(", source)
-        for atom in argument_atoms(source[head.end() - 1:]))
+            return False
+    return True
 
 
 def test_tokenize_matches_reference_on_golden_corpus():
@@ -492,19 +552,10 @@ fuzz_text = st.lists(st.sampled_from(FUZZ_ALPHABET), max_size=40).map("".join)
 @given(fuzz_text)
 @settings(max_examples=400, deadline=None)
 def test_tokenize_matches_reference_on_fuzzed_text(source):
-    """Same stream or the same ParseError, apart from four documented
-    fixes: a trailing backslash in a literal (IndexError before), an
-    annotation whose '(' never closes (silently swallowed before), a
-    parenthesis inside a literal in annotation arguments (counted before),
-    and a quote in annotation arguments that starts no complete literal
-    (skipped raw before; "unterminated literal" at the quote now)."""
-    if literal_paren_in_annotation(source):
-        return
+    """Same stream or the same ParseError, apart from two documented fixes:
+    a trailing backslash in a literal (IndexError before) and an annotation
+    whose '(' never closes (silently swallowed before)."""
     got = token_stream(source)
-    if stray_quote_in_annotation(source) and isinstance(got, tuple) \
-            and "unterminated literal" in got[0]:
-        assert source[offset_of(source, got[1], got[2])] in "\"'"
-        return
     try:
         expected = reference_stream(source)
     except IndexError:
@@ -528,12 +579,29 @@ def test_parse_gives_result_or_parse_error(source):
     assert isinstance(decls, list) and decls
 
 
+# Class names come first, so that skipped text holding newlines moves no
+# ClassDecl.line.
+SKIPPED_TEXT_TEMPLATE = (
+    "package p; class A<T> extends B {{ class In {{ I i = {0}; }}\n"
+    "  C c = {0}; D d = {0}, e; F m(G g) {{{0}}}\n"
+    "  A(H h) throws E {{{0}}} static {{{0}}} T t = {0};\n}}")
+
+
+@given(st.text(st.characters(exclude_characters="()[]{}\"'/;,")))
+@settings(max_examples=200, deadline=None)
+def test_skipped_text_leaves_the_declarations(text):
+    """Bodies and initializers are skipped unread: any contents without a
+    bracket, quote, '/', ';' or ',' give the ClassDecls of empty ones."""
+    assert (parse_class_headers(SKIPPED_TEXT_TEMPLATE.format(text))
+            == parse_class_headers(SKIPPED_TEXT_TEMPLATE.format("")))
+
+
 def test_extraction_throughput_bound():
     """Tokenize and parse the golden corpus copied 200 times (4,400 files);
     a regression guard with headroom for slow machines."""
     sources = [p.read_text() for p in sorted(CORPUS_DIR.glob("*.chd"))] * 200
     start = time.perf_counter()
     for source in sources:
-        tokenize(source)
+        tokenize_all(source)
         parse_class_headers(source)
     assert time.perf_counter() - start < 2.5
