@@ -42,13 +42,13 @@ def _edge_indexed(graph: ClassGraph) -> tuple[list[tuple[int, int]],
                                               list[dict[int, int]]]:
     """The collapsed edges numbered in lexicographic (min-id, max-id) order,
     and per node a map from each neighbour to their edge's number, in the
-    iteration order of the set of its neighbours (EB's float sum order)."""
+    graph's own neighbour order (EB's BFS and float sum order)."""
     n = graph.n_nodes
     ends = [(u, v) for u in range(n) for v in sorted(graph.neighbors(u))
             if u < v]
     index = {edge: e for e, edge in enumerate(ends)}
     return ends, [{v: index[min(u, v), max(u, v)]
-                   for v in set(graph.neighbors(u))} for u in range(n)]
+                   for v in graph.neighbors(u)} for u in range(n)]
 
 
 def _edge_betweenness(nbrs: list[dict[int, int]], nodes: Sequence[int],

@@ -2,13 +2,15 @@
 
 Nodes carry dense integer ids backed by a stable fully-qualified-name table.
 Each node maps every neighbour to the multiplicity of the bundle of parallel
-edges between them; self-references are dropped at construction. The kind
-of a dependency is not kept: it matters only in the edge files of `ingest`.
+edges between them, through a read-only view. `build_graph` drops
+self-references, and `ClassGraph` rejects them. The kind of a dependency is
+not kept: it matters only in the edge files of `ingest`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import GraphError
@@ -57,9 +59,6 @@ class ClassGraph:
         self._fqns = tuple(fqns)
         if len(set(self._fqns)) != len(self._fqns):
             raise GraphError("duplicate node fqns")
-        # Exact dicts, not Counters: EB sums floats in the iteration order of
-        # sets built from these maps, and CPython lays out a set built from an
-        # exact dict differently from one built from a dict subclass.
         adj = tuple(map(dict, neighbors))
         n = len(self._fqns)
         if len(adj) != n:
@@ -70,7 +69,7 @@ class ClassGraph:
                         or adj[v].get(u) != mult:
                     raise GraphError(f"no multigraph has node {u} with "
                                      f"neighbour {v} of multiplicity {mult}")
-        self._adj = adj
+        self._adj = tuple(map(MappingProxyType, adj))
         self._degree = tuple(sum(nbrs.values()) for nbrs in adj)
         self._m = sum(self._degree) // 2
 
@@ -96,9 +95,10 @@ class ClassGraph:
     def degree(self) -> tuple[int, ...]:
         return self._degree
 
-    def neighbors(self, node: int) -> dict[int, int]:
+    def neighbors(self, node: int) -> Mapping[int, int]:
         """Neighbor -> edge multiplicity: the node's edges with each bundle
-        of parallel edges collapsed into one weighted edge. Read-only."""
+        of parallel edges collapsed into one weighted edge, in the order in
+        which each neighbour first appeared. A read-only view."""
         return self._adj[node]
 
     def __repr__(self) -> str:

@@ -197,7 +197,9 @@ def _skip(source: str, start: int, filename: str | None) -> int:
     after ``(`` and a body after ``{`` end after the parenthesis or brace
     that closes the opener; other brackets are not counted. An initializer
     after ``=`` counts all three pairs and ends at (the offset of) the first
-    ``;`` or ``,`` at depth 0. A ``,`` ends it only if declarator names
+    ``;`` or ``,`` at depth 0, or at a closer that opens nothing: one that
+    finds depth 0, which the parser then reports as what it found in place
+    of the ``;``. A ``,`` ends it only if declarator names
     follow, separated by ``,``, the last one followed by ``=`` or ``;``, so
     the ``,`` in ``new HashMap<B, C>()`` does not, while the one in
     ``x < y, b;`` does. ParseError is raised for an unterminated comment or
@@ -215,6 +217,8 @@ def _skip(source: str, start: int, filename: str | None) -> int:
         if text in opens:
             depth += 1
         elif text in closes:
+            if depth == 0:  # only an initializer's closer can find depth 0
+                return m.start()
             depth -= 1
             if depth == 0 and opener != "=":
                 return m.end()

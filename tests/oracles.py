@@ -8,9 +8,10 @@ incremental `detect_mo` must reproduce exactly. Likewise
 `edge_betweenness_reference` and `detect_eb_reference` are the original
 whole-graph Brandes pass and divisive loop, which recompute every score and
 every component after each cut; the component-local `detect_eb` must match
-them bit for bit. `split_disconnected_reference` is the original P+ split with
-its own component search; its label order must be kept, since `nmi` sums
-floats in that order. `tokenize_reference` is the original character-stepping
+them bit for bit, so they visit each node's neighbours in the graph's own
+order, as `detect_eb` does. `split_disconnected_reference` is the original P+
+split with its own component search; its label order must be kept, since
+`nmi` sums floats in that order. `tokenize_reference` is the original character-stepping
 tokenizer, which tracks line and column for every token, taught only to take
 comments and literals in annotation arguments whole, as Java does; the
 master-regex `tokenize`, resumed after each `{` or `=` it stops at, must give
@@ -204,7 +205,7 @@ def detect_mo_reference(graph: ClassGraph, seed: int) -> tuple[Partition, Dendro
     return relabel_dense(best_labels), Dendrogram(levels, best_index)
 
 
-def _components_reference(adj: dict[int, set[int]]) -> dict[int, int]:
+def _components_reference(adj: dict[int, dict[int, None]]) -> dict[int, int]:
     """Component index per node; indices assigned in ascending node order."""
     labels: dict[int, int] = {}
     comp = 0
@@ -223,7 +224,7 @@ def _components_reference(adj: dict[int, set[int]]) -> dict[int, int]:
     return labels
 
 
-def edge_betweenness_reference(adj: dict[int, set[int]]) -> dict[tuple[int, int], float]:
+def edge_betweenness_reference(adj: dict[int, dict[int, None]]) -> dict[tuple[int, int], float]:
     """Brandes accumulation over hop-count shortest paths.
 
     The score of an edge is the number of unordered node pairs whose shortest
@@ -282,7 +283,8 @@ def detect_eb_reference(
             f"collapsed graph has {collapsed.n_edges} edges "
             f"(cap {max_edges}); use the MO or LP algorithm instead"
         )
-    adj = {u: set(collapsed.neighbors(u)) for u in range(collapsed.n_nodes)}
+    adj = {u: dict.fromkeys(collapsed.neighbors(u))
+           for u in range(collapsed.n_nodes)}
     denom = 4 * graph.m ** 2 if graph.m else 1
 
     labels = _components_reference(adj)
@@ -297,8 +299,7 @@ def detect_eb_reference(
         scores = edge_betweenness_reference(adj)
         cut = max(scores.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))[0]
         u, v = cut
-        adj[u].discard(v)
-        adj[v].discard(u)
+        del adj[u][v], adj[v][u]
         labels = _components_reference(adj)
         partition = tuple(labels[node] for node in range(len(labels)))
         if len(set(partition)) > n_components:

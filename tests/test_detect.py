@@ -294,7 +294,7 @@ def assert_eb_matches_reference(graph):
     assert_same_partition(part, ref_part)
     assert dendro.levels == ref_dendro.levels
     assert dendro.best_index == ref_dendro.best_index
-    adj = {u: set(graph.neighbors(u)) for u in range(graph.n_nodes)}
+    adj = {u: dict.fromkeys(graph.neighbors(u)) for u in range(graph.n_nodes)}
     ref_scores = edge_betweenness_reference(adj)
     assert edge_betweenness(graph) == ref_scores
     # Scoring each component on its own gives the whole-graph floats.

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from depnet import (ClassGraph, GraphError, build_graph,
                     load_partition, modularity, package_partition,
                     refine_packages, remove_isolated, run_batch,
                     split_disconnected, write_partition)
+from depnet.detect import _edge_indexed
 from depnet.graph import relabel_dense
 from depnet.ingest import KINDS
 
@@ -165,12 +167,18 @@ def first_seen(pairs, kept):
     return [list(neighbours) for neighbours in order]
 
 
-def test_neighbour_maps_are_exact_dicts(two_triangles):
-    """EB sums floats in the iteration order of sets built from these maps,
-    and CPython lays out a set built from an exact dict differently from one
-    built from a dict subclass such as Counter: the output bytes rest on
-    every construction path giving exact dicts, each node's neighbours in
-    the order in which they first appear in its input."""
+def test_neighbour_maps_are_read_only(two_triangles):
+    """Each node's neighbours come as a read-only view, in the order in
+    which they first appear in its input, on every construction path; EB
+    visits them in that order."""
+    g = build_graph(["A", "B", "C"], [("A", "B", F)])
+    with pytest.raises(TypeError):
+        g.neighbors(0)[2] = 1
+    with pytest.raises(TypeError):
+        del g.neighbors(0)[1]
+    assert (g.degree, g.m) == ((1, 1, 0), 1)
+    assert [dict(g.neighbors(u)) for u in range(3)] == [{1: 1}, {0: 1}, {}]
+
     rng = random.Random(5)
     # 24 nodes, node 7 in no pair; the pairs hold self-references,
     # reversed pairs and parallel pairs.
@@ -187,6 +195,8 @@ def test_neighbour_maps_are_exact_dicts(two_triangles):
     inner = set(range(3, 20))
     edges_tsv = "#depnet-edges v1 isolated=keep\n" + "".join(
         f"{src}\t{dst}\t{kind}\n" for src, dst, kind in deps)
+    # Node 0 meets 5, then 1, then 3; a set of them would give 1, 3, 5.
+    fan = graph_from_pairs([(0, 5), (0, 1), (0, 3)])
     cases = [
         (built, first_seen(pairs, range(24))),
         (trimmed, first_seen(pairs, nodes)),
@@ -195,10 +205,13 @@ def test_neighbour_maps_are_exact_dicts(two_triangles):
         (ClassGraph(["A", "B"], [Counter({1: 2}), Counter({0: 2})]),
          [[1], [0]]),
         (two_triangles, [[1, 2], [0, 2], [0, 1, 3], [2, 4, 5], [3, 5], [3, 4]]),
+        (fan, [[5, 1, 3], [0], [], [0], [], [0]]),
     ]
     for g, order in cases:
-        assert all(type(g.neighbors(u)) is dict for u in range(g.n_nodes))
+        assert all(type(g.neighbors(u)) is MappingProxyType
+                   for u in range(g.n_nodes))
         assert [list(g.neighbors(u)) for u in range(g.n_nodes)] == order
+    assert list(_edge_indexed(fan)[1][0]) == [5, 1, 3]
 
 
 @pytest.mark.parametrize("fqns, neighbors", [

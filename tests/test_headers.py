@@ -307,13 +307,25 @@ def test_syntax_error_before_a_later_stretch_wins():
 @pytest.mark.parametrize("source, opener, message", [
     ("class A { void m() { x(); ", "{ x", "unterminated block"),
     ("class A { B b = c ", "=", "unterminated field initializer"),
-    ("class A { B b = c } ", "=", "unterminated field initializer"),
 ])
 def test_unterminated_skip_reported_at_its_opener(source, opener, message):
     """They used to be reported at the end of input."""
     with pytest.raises(ParseError, match=message) as err:
         parse_class_headers(source)
     assert (err.value.line, err.value.column) == (1, source.index(opener) + 1)
+
+
+@pytest.mark.parametrize("source, error", [
+    ("class A { B b = x); C c; D d = (y; }", "1:18: expected ';', found ')'"),
+    ("class A { B b = c } ", "1:19: expected ';', found '}'"),
+])
+def test_initializer_ends_at_a_stray_closer(source, error):
+    """A closer that opens nothing ends an initializer, as a ';' at depth 0
+    does, and is reported there: the skip does not run on past the ';' and
+    swallow the members after it (`C c` above)."""
+    with pytest.raises(ParseError) as err:
+        parse_class_headers(source)
+    assert str(err.value) == error
 
 
 def test_lexical_error_has_position():
